@@ -1,8 +1,8 @@
 // Micro-benchmark for the batched value-network inference path: evals/sec
-// of the legacy per-item Predict hot path (batch size 1 — how beam search
-// scored plans before the runtime subsystem) vs ValueNetwork::ForwardBatch
-// at micro-batch sizes {8, 32, 128}, plus the InferenceService end to end.
-// The acceptance gate for the runtime is >= 2x evals/sec at batch 32.
+// of one Predict per plan (batch size 1, a one-item ForwardBatch) vs
+// ValueNetwork::ForwardBatch at micro-batch sizes {8, 32, 128}, plus the
+// InferenceService end to end. The acceptance gate for the runtime is
+// >= 2x evals/sec at batch 32.
 //
 // Usage: bench_inference_batching [--full]
 #include <chrono>
@@ -89,7 +89,7 @@ int Main(int argc, char** argv) {
   std::vector<const nn::TreeSample*> ptrs;
   for (const nn::TreeSample& t : setup.trees) ptrs.push_back(&t);
 
-  // Batch size 1: the pre-runtime hot path, one Predict per plan.
+  // Batch size 1: one Predict (a one-item ForwardBatch) per plan.
   double base = Throughput(setup, min_seconds, [&] {
     for (const nn::TreeSample& t : setup.trees) {
       setup.net->Predict(query_feat, t);
@@ -97,7 +97,7 @@ int Main(int argc, char** argv) {
   });
 
   std::printf("  %-28s %12.0f evals/sec  %6s\n",
-              "batch=1 (per-item Predict)", base, "1.00x");
+              "batch=1 (Predict)", base, "1.00x");
 
   double speedup_at_32 = 0;
   for (int batch : {8, 32, 128}) {

@@ -1,9 +1,11 @@
 // Google-benchmark microbenchmarks for the hot paths: executor joins,
-// oracle lookups, value-network inference, beam-search planning, and DP
-// enumeration. These bound the per-iteration cost of the learning loop.
+// oracle lookups, value-network inference and training, beam-search
+// planning, and DP enumeration. These bound the per-iteration cost of the
+// learning loop.
 #include <benchmark/benchmark.h>
 
 #include "src/balsa/planner.h"
+#include "src/balsa/simulation.h"
 #include "src/model/value_network.h"
 #include "src/optimizer/dp_optimizer.h"
 #include "tests/test_util.h"
@@ -98,6 +100,33 @@ void BM_ValueNetworkForwardBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ValueNetworkForwardBatch)->Arg(8)->Arg(32)->Arg(128);
+
+void BM_ValueNetworkTrainStep(benchmark::State& state) {
+  MicroEnv& env = GlobalEnv();
+  // 64 featurized (query scope, subplan, cost) points from simulation.
+  SimulationOptions sim;
+  sim.num_threads = 1;
+  auto collected = CollectSimulationData({&env.query}, env.fixture.schema(),
+                                         env.cout, env.featurizer, sim);
+  if (!collected.ok() || collected->size() < 64) {
+    state.SkipWithError("too few simulation points");
+    return;
+  }
+  std::vector<TrainingPoint> data(collected->begin(),
+                                  collected->begin() + 64);
+  // One epoch over 64 points with nothing held out: exactly one minibatch
+  // of forward, backward and Adam step.
+  ValueNetwork::TrainOptions options;
+  options.max_epochs = 1;
+  options.batch_size = 64;
+  options.val_fraction = 0;
+  ValueNetwork net = *env.net;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.Train(data, options));
+  }
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_ValueNetworkTrainStep);
 
 void BM_BeamSearchPlanQuery(benchmark::State& state) {
   MicroEnv& env = GlobalEnv();

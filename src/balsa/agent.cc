@@ -80,6 +80,8 @@ Status BalsaAgent::Bootstrap() {
       ValueNetwork::TrainOptions train = options_.sim_train;
       train.shuffle_seed = options_.seed + 2;
       auto result = network_->Train(data, train);
+      sim_stats_.train_seconds = result.wall_seconds;
+      sim_stats_.train_epochs = result.epochs_run;
       BALSA_LOG(kInfo,
                 "sim bootstrap: %zu points, %d epochs, val loss %.4f",
                 data.size(), result.epochs_run, result.best_val_loss);
@@ -228,6 +230,10 @@ Status BalsaAgent::RunIteration() {
   ValueNetwork::TrainOptions train = options_.real_train;
   train.shuffle_seed = options_.seed + 1000 + iteration_;
   auto train_result = network_->Train(data, train);
+  stats.train_ms = train_result.wall_seconds * 1000.0;
+  stats.train_epochs = train_result.epochs_run;
+  stats.train_loss = train_result.final_train_loss;
+  stats.val_loss = train_result.best_val_loss;
 
   // --- Virtual clock: pool makespan + update time (§7) ------------------
   virtual_seconds_ += pool_.Makespan(latencies) / 1000.0;

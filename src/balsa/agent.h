@@ -109,6 +109,13 @@ struct IterationStats {
   /// and the batched inference calls that served them.
   int64_t network_evals = 0;
   int64_t inference_batches = 0;
+  /// The update phase's ValueNetwork::Train: real wall clock, epochs run,
+  /// final training loss, and best validation loss (the training loss when
+  /// nothing was held out), both in the network's label space.
+  double train_ms = 0;
+  int train_epochs = 0;
+  double train_loss = 0;
+  double val_loss = 0;
 };
 
 class BalsaAgent {

@@ -51,10 +51,10 @@ StatusOr<BeamSearchPlanner::PlanningResult> BeamSearchPlanner::TopK(
   // Per-call score memoization: composed subplans recur across states.
   std::unordered_map<uint64_t, double> score_cache;
 
-  // Scores every plan in `pending` that the cache has not seen — in one
-  // batched forward pass (batch_scoring) or one Predict per plan. Both
-  // paths produce identical scores (nn's batched kernels accumulate in
-  // MatVec's exact order), so the search below is oblivious to the mode.
+  // Scores every plan in `pending` that the cache has not seen in one
+  // batched forward pass. A score is bitwise independent of its batch
+  // (nn's kernels sum every element in a fixed order), so how frontiers
+  // are batched, or fused by the inference service, never changes a plan.
   auto score_pending = [&](const std::vector<const Plan*>& pending) {
     std::vector<const Plan*> need;
     std::vector<uint64_t> need_fps;
@@ -66,31 +66,21 @@ StatusOr<BeamSearchPlanner::PlanningResult> BeamSearchPlanner::TopK(
       need_fps.push_back(fp);
     }
     if (need.empty()) return;
-    if (options_.batch_scoring) {
-      std::vector<nn::TreeSample> feats;
-      feats.reserve(need.size());
-      for (const Plan* plan : need) {
-        feats.push_back(featurizer_->PlanFeatures(query, *plan));
-      }
-      std::vector<const nn::TreeSample*> ptrs;
-      ptrs.reserve(feats.size());
-      for (const nn::TreeSample& f : feats) ptrs.push_back(&f);
-      std::vector<double> scores =
-          service_ ? service_->ScoreBatch(query_feat, ptrs)
-                   : network_->ForwardBatch(query_feat, ptrs);
-      for (size_t i = 0; i < need.size(); ++i) {
-        score_cache.emplace(need_fps[i], scores[i]);
-      }
-      result.batch_calls++;
-    } else {
-      for (size_t i = 0; i < need.size(); ++i) {
-        score_cache.emplace(
-            need_fps[i],
-            network_->Predict(query_feat,
-                              featurizer_->PlanFeatures(query, *need[i])));
-        result.batch_calls++;
-      }
+    std::vector<nn::TreeSample> feats;
+    feats.reserve(need.size());
+    for (const Plan* plan : need) {
+      feats.push_back(featurizer_->PlanFeatures(query, *plan));
     }
+    std::vector<const nn::TreeSample*> ptrs;
+    ptrs.reserve(feats.size());
+    for (const nn::TreeSample& f : feats) ptrs.push_back(&f);
+    std::vector<double> scores =
+        service_ ? service_->ScoreBatch(query_feat, ptrs)
+                 : network_->ForwardBatch(query_feat, ptrs);
+    for (size_t i = 0; i < need.size(); ++i) {
+      score_cache.emplace(need_fps[i], scores[i]);
+    }
+    result.batch_calls++;
     result.network_evals += static_cast<int64_t>(need.size());
   };
 

@@ -35,11 +35,6 @@ struct PlannerOptions {
   double epsilon_collapse = 0.0;
   /// Safety bound on state expansions per query.
   int max_expansions = 20000;
-  /// Score each expansion's whole frontier with one batched network call
-  /// (ValueNetwork::ForwardBatch, optionally via an InferenceService)
-  /// instead of one Predict per plan. Scores — and therefore the plans
-  /// found — are identical either way; batching only changes throughput.
-  bool batch_scoring = true;
 };
 
 class BeamSearchPlanner {
@@ -65,8 +60,9 @@ class BeamSearchPlanner {
     /// Plan-scoring requests the search issued, including score-cache hits
     /// (network_evals counts only the misses).
     int64_t scored_states = 0;
-    /// Inference invocations that served the misses: one per batched call
-    /// with batch_scoring, one per Predict without (== network_evals then).
+    /// Batched inference calls that served the misses: one per expansion
+    /// frontier that had any (ValueNetwork::ForwardBatch or
+    /// InferenceService::ScoreBatch).
     int64_t batch_calls = 0;
   };
 

@@ -39,6 +39,9 @@ struct SimulationStats {
   int num_queries_used = 0;
   int num_queries_skipped = 0;
   double collect_seconds = 0;  // real wall clock
+  /// Training V_sim on the collected data (filled by BalsaAgent::Bootstrap).
+  double train_seconds = 0;  // real wall clock
+  int train_epochs = 0;
 };
 
 /// Enumerates plans for every training query against `simulator` and returns

@@ -1,19 +1,25 @@
 #include "src/model/value_network.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 namespace balsa {
 
-struct ValueNetwork::Activations {
-  std::vector<nn::Vec> inputs;   // per node: concat(query, node features)
-  std::vector<nn::Vec> h1;       // post-ReLU tree conv 1
-  std::vector<nn::Vec> h2;       // post-ReLU tree conv 2
-  nn::Vec pooled;
-  std::vector<int> argmax;
-  nn::Vec m1;                    // post-ReLU fc1
-  nn::Vec out;                   // fc2 output (size 1)
+// Activations of one forward pass. Every item's plan nodes are stacked as
+// the columns of shared matrices; pooling then leaves one column per item.
+struct ValueNetwork::Batch {
+  std::vector<int> begin;        // item i: columns [begin[i], begin[i+1])
+  std::vector<int> left, right;  // global child columns, -1 for none
+  nn::Mat x;                     // per node: concat(query, node features)
+  nn::Mat h1;                    // post-ReLU tree conv 1
+  nn::Mat h2;                    // post-ReLU tree conv 2
+  nn::Mat pooled;
+  std::vector<int> argmax;       // training only
+  nn::Mat m1;                    // post-ReLU fc1
+  nn::Mat out;                   // fc2 output, 1 x items
 };
 
 ValueNetwork::ValueNetwork(ValueNetConfig config) : config_(config) {
@@ -60,100 +66,76 @@ double ValueNetwork::FromLabelSpace(double z) const {
   return std::expm1(std::min(z, 40.0));
 }
 
-double ValueNetwork::ForwardTransformed(const nn::Vec& query,
-                                        const nn::TreeSample& plan,
-                                        Activations* acts) const {
-  Activations local;
-  Activations& a = acts ? *acts : local;
-  size_t n = plan.features.size();
-  a.inputs.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    nn::Vec& in = a.inputs[i];
-    in.reserve(query.size() + plan.features[i].size());
-    in.assign(query.begin(), query.end());
-    in.insert(in.end(), plan.features[i].begin(), plan.features[i].end());
+void ValueNetwork::Forward(const std::vector<const nn::Vec*>& queries,
+                           const std::vector<const nn::TreeSample*>& plans,
+                           bool for_training, Batch* batch) const {
+  Batch& b = *batch;
+  const int items = static_cast<int>(plans.size());
+  b.begin.assign(static_cast<size_t>(items) + 1, 0);
+  for (int i = 0; i < items; ++i) {
+    b.begin[i + 1] = b.begin[i] + static_cast<int>(plans[i]->features.size());
   }
-  tc1_.Forward(a.inputs, plan.left, plan.right, &a.h1);
-  for (auto& v : a.h1) nn::ReluForward(&v);
-  tc2_.Forward(a.h1, plan.left, plan.right, &a.h2);
-  for (auto& v : a.h2) nn::ReluForward(&v);
-  nn::DynamicMaxPool(a.h2, &a.pooled, &a.argmax);
-  fc1_.Forward(a.pooled, &a.m1);
-  nn::ReluForward(&a.m1);
-  fc2_.Forward(a.m1, &a.out);
-  return a.out[0];
+  const int total = b.begin[items];
+  const int qd = config_.query_dim;
+  const int nd = config_.node_dim;
+  // One contiguous row per node first, then a single transpose into x.
+  nn::Mat rows(total, qd + nd);
+  b.left.resize(static_cast<size_t>(total));
+  b.right.resize(static_cast<size_t>(total));
+  for (int i = 0; i < items; ++i) {
+    const nn::TreeSample& tree = *plans[i];
+    const nn::Vec& query = *queries[i];
+    for (size_t node = 0; node < tree.features.size(); ++node) {
+      const int col = b.begin[i] + static_cast<int>(node);
+      float* row = &rows.data[static_cast<size_t>(col) * (qd + nd)];
+      std::copy(query.begin(), query.begin() + qd, row);
+      std::copy(tree.features[node].begin(),
+                tree.features[node].begin() + nd, row + qd);
+      b.left[col] = tree.left[node] >= 0 ? b.begin[i] + tree.left[node] : -1;
+      b.right[col] =
+          tree.right[node] >= 0 ? b.begin[i] + tree.right[node] : -1;
+    }
+  }
+  nn::Transpose(rows, &b.x);
+
+  tc1_.ForwardBatch(b.x, b.left, b.right, &b.h1);
+  nn::ReluMatForward(&b.h1);
+  tc2_.ForwardBatch(b.h1, b.left, b.right, &b.h2);
+  nn::ReluMatForward(&b.h2);
+  nn::DynamicMaxPoolBatch(b.h2, b.begin, &b.pooled,
+                          for_training ? &b.argmax : nullptr);
+  fc1_.ForwardBatch(b.pooled, &b.m1);
+  nn::ReluMatForward(&b.m1);
+  fc2_.ForwardBatch(b.m1, &b.out);
 }
 
-void ValueNetwork::Backward(const nn::Vec& /*query*/,
-                            const nn::TreeSample& plan,
-                            const Activations& acts, double dout) {
-  nn::Vec dy_out{static_cast<float>(dout)};
-  nn::Vec dm1(acts.m1.size(), 0.f);
-  fc2_.Backward(acts.m1, dy_out, &dm1);
-  nn::ReluBackward(acts.m1, &dm1);
-  nn::Vec dpooled(acts.pooled.size(), 0.f);
-  fc1_.Backward(acts.pooled, dm1, &dpooled);
-
-  std::vector<nn::Vec> dh2(acts.h2.size(),
-                           nn::Vec(acts.pooled.size(), 0.f));
-  nn::DynamicMaxPoolBackward(dpooled, acts.argmax, &dh2);
-  for (size_t i = 0; i < dh2.size(); ++i) nn::ReluBackward(acts.h2[i], &dh2[i]);
-
-  std::vector<nn::Vec> dh1(acts.h1.size(),
-                           nn::Vec(acts.h1.empty() ? 0 : acts.h1[0].size(),
-                                   0.f));
-  tc2_.Backward(acts.h1, plan.left, plan.right, dh2, &dh1);
-  for (size_t i = 0; i < dh1.size(); ++i) nn::ReluBackward(acts.h1[i], &dh1[i]);
-  tc1_.Backward(acts.inputs, plan.left, plan.right, dh1, nullptr);
+void ValueNetwork::Backward(const Batch& b, const nn::Mat& dout) {
+  nn::Mat dm1, dpooled, dh2, dh1;
+  fc2_.BackwardBatch(b.m1, dout, &dm1);
+  nn::ReluMatBackward(b.m1, &dm1);
+  fc1_.BackwardBatch(b.pooled, dm1, &dpooled);
+  nn::DynamicMaxPoolBatchBackward(dpooled, b.argmax, b.h2.cols, &dh2);
+  nn::ReluMatBackward(b.h2, &dh2);
+  tc2_.BackwardBatch(b.h1, b.left, b.right, dh2, &dh1);
+  nn::ReluMatBackward(b.h1, &dh1);
+  tc1_.BackwardBatch(b.x, b.left, b.right, dh1, nullptr);
 }
 
 double ValueNetwork::Predict(const nn::Vec& query,
                              const nn::TreeSample& plan) const {
-  return FromLabelSpace(ForwardTransformed(query, plan, nullptr));
+  return ForwardBatch(query, {&plan})[0];
 }
 
 std::vector<double> ValueNetwork::ForwardBatch(
     const std::vector<const nn::Vec*>& queries,
     const std::vector<const nn::TreeSample*>& plans) const {
-  const int items = static_cast<int>(plans.size());
-  std::vector<double> out(static_cast<size_t>(items));
-  if (items == 0) return out;
-
-  // Stack every plan's nodes into one column-per-node batch; child indices
-  // become global column indices.
-  std::vector<int> begin(static_cast<size_t>(items) + 1, 0);
-  for (int i = 0; i < items; ++i) {
-    begin[i + 1] = begin[i] + static_cast<int>(plans[i]->features.size());
+  std::vector<double> out(plans.size());
+  if (plans.empty()) return out;
+  Batch batch;
+  Forward(queries, plans, /*for_training=*/false, &batch);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = FromLabelSpace(batch.out.at(0, static_cast<int>(i)));
   }
-  const int total = begin[items];
-  const int qd = config_.query_dim;
-  const int nd = config_.node_dim;
-  nn::Mat x(qd + nd, total);
-  std::vector<int> left(static_cast<size_t>(total));
-  std::vector<int> right(static_cast<size_t>(total));
-  for (int i = 0; i < items; ++i) {
-    const nn::TreeSample& tree = *plans[i];
-    const nn::Vec& query = *queries[i];
-    for (size_t node = 0; node < tree.features.size(); ++node) {
-      const int col = begin[i] + static_cast<int>(node);
-      for (int r = 0; r < qd; ++r) x.at(r, col) = query[r];
-      const nn::Vec& feat = tree.features[node];
-      for (int r = 0; r < nd; ++r) x.at(qd + r, col) = feat[r];
-      left[col] = tree.left[node] >= 0 ? begin[i] + tree.left[node] : -1;
-      right[col] = tree.right[node] >= 0 ? begin[i] + tree.right[node] : -1;
-    }
-  }
-
-  nn::Mat h1, h2, pooled, m1, o;
-  tc1_.ForwardBatch(x, left, right, &h1);
-  nn::ReluMatForward(&h1);
-  tc2_.ForwardBatch(h1, left, right, &h2);
-  nn::ReluMatForward(&h2);
-  nn::DynamicMaxPoolBatch(h2, begin, &pooled);
-  fc1_.ForwardBatch(pooled, &m1);
-  nn::ReluMatForward(&m1);
-  fc2_.ForwardBatch(m1, &o);
-  for (int i = 0; i < items; ++i) out[i] = FromLabelSpace(o.at(0, i));
   return out;
 }
 
@@ -168,6 +150,7 @@ ValueNetwork::TrainResult ValueNetwork::Train(
     const std::vector<TrainingPoint>& data, const TrainOptions& options) {
   TrainResult result;
   if (data.empty()) return result;
+  const auto start = std::chrono::steady_clock::now();
 
   std::vector<int> order(data.size());
   std::iota(order.begin(), order.end(), 0);
@@ -185,13 +168,35 @@ ValueNetwork::TrainResult ValueNetwork::Train(
   adam_opts.lr = options.lr;
   nn::Adam adam(Params(), adam_opts);
 
+  // Runs the forward pass over data[idx[lo..hi)] into `batch`.
+  Batch batch;
+  std::vector<const nn::Vec*> queries;
+  std::vector<const nn::TreeSample*> plans;
+  auto forward = [&](const std::vector<int>& idx, size_t lo, size_t hi,
+                     bool for_training) {
+    queries.clear();
+    plans.clear();
+    for (size_t k = lo; k < hi; ++k) {
+      queries.push_back(&data[idx[k]].query);
+      plans.push_back(&data[idx[k]].plan);
+    }
+    Forward(queries, plans, for_training, &batch);
+  };
+
+  // Scores are independent of batch composition, so any chunk size gives
+  // the same loss.
+  constexpr size_t kEvalChunk = 256;
   auto eval_loss = [&](const std::vector<int>& idx) {
     if (idx.empty()) return 0.0;
     double total = 0;
-    for (int i : idx) {
-      double z = ToLabelSpace(data[i].label);
-      double pred = ForwardTransformed(data[i].query, data[i].plan, nullptr);
-      total += (pred - z) * (pred - z);
+    for (size_t lo = 0; lo < idx.size(); lo += kEvalChunk) {
+      const size_t hi = std::min(lo + kEvalChunk, idx.size());
+      forward(idx, lo, hi, /*for_training=*/false);
+      for (size_t k = lo; k < hi; ++k) {
+        double z = ToLabelSpace(data[idx[k]].label);
+        double pred = batch.out.at(0, static_cast<int>(k - lo));
+        total += (pred - z) * (pred - z);
+      }
     }
     return total / static_cast<double>(idx.size());
   };
@@ -220,17 +225,18 @@ ValueNetwork::TrainResult ValueNetwork::Train(
       size_t batch_end =
           std::min(pos + static_cast<size_t>(options.batch_size),
                    train.size());
-      int batch = static_cast<int>(batch_end - pos);
-      for (size_t b = pos; b < batch_end; ++b) {
-        const TrainingPoint& pt = data[train[b]];
-        Activations acts;
-        double pred = ForwardTransformed(pt.query, pt.plan, &acts);
-        double residual = pred - ToLabelSpace(pt.label);
+      const int items = static_cast<int>(batch_end - pos);
+      forward(train, pos, batch_end, /*for_training=*/true);
+      nn::Mat dout(1, items);
+      for (int i = 0; i < items; ++i) {
+        double residual =
+            batch.out.at(0, i) - ToLabelSpace(data[train[pos + i]].label);
         epoch_loss += residual * residual;
-        Backward(pt.query, pt.plan, acts, 2.0 * residual);
+        dout.at(0, i) = static_cast<float>(2.0 * residual);
       }
-      adam.Step(batch);
-      result.sgd_samples += batch;
+      Backward(batch, dout);
+      adam.Step(items);
+      result.sgd_samples += items;
       pos = batch_end;
     }
     result.epochs_run = epoch + 1;
@@ -251,6 +257,9 @@ ValueNetwork::TrainResult ValueNetwork::Train(
   }
   if (!val.empty()) restore();
   result.best_val_loss = val.empty() ? result.final_train_loss : best_val;
+  result.wall_seconds = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
   return result;
 }
 

@@ -42,15 +42,17 @@ class ValueNetwork {
   ValueNetwork(const ValueNetwork&) = default;
   ValueNetwork& operator=(const ValueNetwork&) = default;
 
-  /// Predicted label (original units) for a featurized (query, plan).
+  /// Predicted label (original units) for a featurized (query, plan): a
+  /// one-item ForwardBatch.
   double Predict(const nn::Vec& query, const nn::TreeSample& plan) const;
 
   /// Batched prediction: one forward pass over all (query, plan) items,
   /// with every plan's nodes stacked into shared matrices (batched tree
   /// convolution + dynamic pooling in nn::). An item's score is bitwise
-  /// independent of the rest of the batch — the batched kernels accumulate
-  /// in MatVec's exact summation order — so micro-batching concurrent
-  /// requests can never change a result. `queries[i]` pairs with `plans[i]`.
+  /// independent of the rest of the batch — every output element sums its
+  /// terms in a fixed order whatever shares the batch — so micro-batching
+  /// concurrent requests can never change a result. `queries[i]` pairs
+  /// with `plans[i]`.
   std::vector<double> ForwardBatch(
       const std::vector<const nn::Vec*>& queries,
       const std::vector<const nn::TreeSample*>& plans) const;
@@ -79,10 +81,16 @@ class ValueNetwork {
     double final_train_loss = 0;
     double best_val_loss = 0;
     int64_t sgd_samples = 0;  // total examples processed (for virtual time)
+    double wall_seconds = 0;  // real wall clock spent in Train
   };
 
   /// Trains on `data` with minibatch Adam and early stopping. Loss is L2 in
-  /// (optionally log-transformed) label space.
+  /// (optionally log-transformed) label space. Each minibatch runs as one
+  /// batched forward and backward pass through the same kernels as
+  /// ForwardBatch, and the trained weights are bitwise equal to per-sample
+  /// SGD (forward, backward and gradient accumulation one sample at a
+  /// time, then one Adam step per minibatch): every gradient element takes
+  /// its terms in (sample, node) order, one add per term.
   TrainResult Train(const std::vector<TrainingPoint>& data,
                     const TrainOptions& options);
 
@@ -100,14 +108,17 @@ class ValueNetwork {
   const ValueNetConfig& config() const { return config_; }
 
  private:
-  struct Activations;
+  struct Batch;
 
-  /// Forward pass in transformed label space; fills `acts` when non-null.
-  double ForwardTransformed(const nn::Vec& query, const nn::TreeSample& plan,
-                            Activations* acts) const;
-  /// Backward pass for d(loss)/d(output) = dout; accumulates gradients.
-  void Backward(const nn::Vec& query, const nn::TreeSample& plan,
-                const Activations& acts, double dout);
+  /// Stacks the items into `batch` and runs the forward pass, leaving the
+  /// outputs in transformed label space in batch->out (1 x items). With
+  /// `for_training`, also records the max-pool argmax Backward needs.
+  void Forward(const std::vector<const nn::Vec*>& queries,
+               const std::vector<const nn::TreeSample*>& plans,
+               bool for_training, Batch* batch) const;
+  /// Backward pass over a Forward(for_training) batch for
+  /// d(loss)/d(output) = dout (1 x items); accumulates gradients.
+  void Backward(const Batch& batch, const nn::Mat& dout);
 
   std::vector<nn::Param*> Params();
   std::vector<const nn::Param*> Params() const;

@@ -1,34 +1,68 @@
 #include "src/nn/nn.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
 namespace balsa::nn {
 
-void MatVec(const Mat& w, const Vec& x, Vec* y) {
-  for (int r = 0; r < w.rows; ++r) {
-    const float* row = &w.data[static_cast<size_t>(r) * w.cols];
-    float acc = 0;
-    for (int c = 0; c < w.cols; ++c) acc += row[c] * x[c];
-    (*y)[r] += acc;
-  }
+namespace {
+
+/// y[i] += a * x[i]: one product and one add per element, vectorizable.
+inline void Axpy(float a, const float* __restrict__ x, float* __restrict__ y,
+                 int n) {
+  for (int i = 0; i < n; ++i) y[i] += a * x[i];
 }
 
-void MatTVec(const Mat& w, const Vec& dy, Vec* dx) {
-  for (int r = 0; r < w.rows; ++r) {
-    const float* row = &w.data[static_cast<size_t>(r) * w.cols];
-    float d = dy[r];
-    if (d == 0) continue;
-    for (int c = 0; c < w.cols; ++c) (*dx)[c] += row[c] * d;
-  }
+size_t CountNonZero(const Mat& m) {
+  size_t nnz = 0;
+  for (float v : m.data) nnz += v != 0;
+  return nnz;
 }
 
-void OuterAcc(const Vec& dy, const Vec& x, Mat* dw) {
-  for (int r = 0; r < dw->rows; ++r) {
-    float d = dy[r];
-    if (d == 0) continue;
-    float* row = &dw->data[static_cast<size_t>(r) * dw->cols];
-    for (int c = 0; c < dw->cols; ++c) row[c] += d * x[c];
+/// The nonzero rows of each column of a matrix, ascending: column j's are
+/// row[begin[j]] .. row[begin[j + 1] - 1].
+struct SparseColumns {
+  std::vector<int> begin, row;
+
+  explicit SparseColumns(const Mat& x)
+      : begin(static_cast<size_t>(x.cols) + 1) {
+    for (int r = 0; r < x.rows; ++r) {
+      for (int j = 0; j < x.cols; ++j) begin[j + 1] += x.at(r, j) != 0;
+    }
+    for (int j = 0; j < x.cols; ++j) begin[j + 1] += begin[j];
+    row.resize(static_cast<size_t>(begin[x.cols]));
+    std::vector<int> fill(begin.begin(), begin.end() - 1);
+    for (int r = 0; r < x.rows; ++r) {
+      for (int j = 0; j < x.cols; ++j) {
+        if (x.at(r, j) != 0) row[fill[j]++] = r;
+      }
+    }
+  }
+};
+
+void ResizeZeroed(int rows, int cols, Mat* m) {
+  m->rows = rows;
+  m->cols = cols;
+  m->data.assign(static_cast<size_t>(rows) * cols, 0.f);
+}
+
+}  // namespace
+
+// Tiled, so both sides stay in cache.
+void Transpose(const Mat& x, Mat* t) {
+  constexpr int kTile = 16;
+  t->rows = x.cols;
+  t->cols = x.rows;
+  t->data.resize(x.data.size());
+  for (int r0 = 0; r0 < x.rows; r0 += kTile) {
+    const int r1 = std::min(r0 + kTile, x.rows);
+    for (int c0 = 0; c0 < x.cols; c0 += kTile) {
+      const int c1 = std::min(c0 + kTile, x.cols);
+      for (int r = r0; r < r1; ++r) {
+        for (int c = c0; c < c1; ++c) t->at(c, r) = x.at(r, c);
+      }
+    }
   }
 }
 
@@ -36,10 +70,9 @@ void AddMatMul(const Mat& w, const Mat& x, Mat* y) {
   const int n = x.cols;
   const int cols = w.cols;
   // Four weight columns per pass, explicitly left-associated so every
-  // output element still accumulates its terms in ascending-c order —
-  // bitwise identical to MatVec — while y is loaded/stored once per pass.
-  // The j loops are independent elementwise updates over __restrict__
-  // arrays: they vectorize, which MatVec's serial reduction cannot.
+  // output element still accumulates its terms in ascending-c order while
+  // y is loaded/stored once per pass. The j loops are independent
+  // elementwise updates over __restrict__ arrays, so they vectorize.
   for (int r = 0; r < w.rows; ++r) {
     const float* wrow = &w.data[static_cast<size_t>(r) * cols];
     float* __restrict__ yrow = &y->data[static_cast<size_t>(r) * n];
@@ -68,6 +101,12 @@ void ReluMatForward(Mat* x) {
   for (float& v : x->data) v = v > 0 ? v : 0;
 }
 
+void ReluMatBackward(const Mat& y, Mat* dy) {
+  for (size_t i = 0; i < y.data.size(); ++i) {
+    dy->data[i] = y.data[i] <= 0 ? 0.f : dy->data[i];
+  }
+}
+
 void Param::XavierInit(Rng* rng, int fan_in, int fan_out) {
   double bound = std::sqrt(6.0 / (fan_in + fan_out));
   for (float& w : value.data) {
@@ -79,16 +118,8 @@ Linear::Linear(int in, int out, Rng* rng) : w_(out, in), b_(out, 1) {
   w_.XavierInit(rng, in, out);
 }
 
-void Linear::Forward(const Vec& x, Vec* y) const {
-  y->assign(w_.value.rows, 0.f);
-  MatVec(w_.value, x, y);
-  for (int r = 0; r < b_.value.rows; ++r) (*y)[r] += b_.value.at(r, 0);
-}
-
 void Linear::ForwardBatch(const Mat& x, Mat* y) const {
-  y->rows = w_.value.rows;
-  y->cols = x.cols;
-  y->data.assign(static_cast<size_t>(y->rows) * y->cols, 0.f);
+  ResizeZeroed(w_.value.rows, x.cols, y);
   AddMatMul(w_.value, x, y);
   for (int r = 0; r < y->rows; ++r) {
     const float b = b_.value.at(r, 0);
@@ -96,10 +127,32 @@ void Linear::ForwardBatch(const Mat& x, Mat* y) const {
   }
 }
 
-void Linear::Backward(const Vec& x, const Vec& dy, Vec* dx) {
-  OuterAcc(dy, x, &w_.grad);
-  for (int r = 0; r < b_.grad.rows; ++r) b_.grad.at(r, 0) += dy[r];
-  if (dx) MatTVec(w_.value, dy, dx);
+void Linear::BackwardBatch(const Mat& x, const Mat& dy, Mat* dx) {
+  const int n = x.cols;
+  const int in = x.rows;
+  // dW row r gains dy[r][j] * x[:, j] for each column j in order; x's
+  // columns are made contiguous so each update is an axpy.
+  Mat xt;
+  Transpose(x, &xt);
+  for (int j = 0; j < n; ++j) {
+    const float* xj = &xt.data[static_cast<size_t>(j) * in];
+    for (int r = 0; r < dy.rows; ++r) {
+      const float d = dy.at(r, j);
+      if (d != 0) Axpy(d, xj, &w_.grad.data[static_cast<size_t>(r) * in], in);
+    }
+  }
+  for (int r = 0; r < dy.rows; ++r) {
+    for (int j = 0; j < n; ++j) b_.grad.at(r, 0) += dy.at(r, j);
+  }
+  if (!dx) return;
+  // dx[c][j] = sum_r W[r][c] dy[r][j], ascending r, vectorized over j.
+  ResizeZeroed(in, n, dx);
+  for (int r = 0; r < dy.rows; ++r) {
+    const float* dyr = &dy.data[static_cast<size_t>(r) * n];
+    for (int c = 0; c < in; ++c) {
+      Axpy(w_.value.at(r, c), dyr, &dx->data[static_cast<size_t>(c) * n], n);
+    }
+  }
 }
 
 TreeConvLayer::TreeConvLayer(int in, int out, Rng* rng)
@@ -109,35 +162,24 @@ TreeConvLayer::TreeConvLayer(int in, int out, Rng* rng)
   wr_.XavierInit(rng, in * 3, out);
 }
 
-void TreeConvLayer::Forward(const std::vector<Vec>& in,
-                            const std::vector<int>& left,
-                            const std::vector<int>& right,
-                            std::vector<Vec>* out) const {
-  const int n = static_cast<int>(in.size());
-  out->assign(n, Vec());
-  for (int i = 0; i < n; ++i) {
-    Vec& y = (*out)[i];
-    y.assign(wp_.value.rows, 0.f);
-    MatVec(wp_.value, in[i], &y);
-    if (left[i] >= 0) MatVec(wl_.value, in[left[i]], &y);
-    if (right[i] >= 0) MatVec(wr_.value, in[right[i]], &y);
-    for (int r = 0; r < b_.value.rows; ++r) y[r] += b_.value.at(r, 0);
-  }
-}
-
 void TreeConvLayer::ForwardBatch(const Mat& x, const std::vector<int>& left,
                                  const std::vector<int>& right,
                                  Mat* out) const {
   const int n = x.cols;
-  out->rows = wp_.value.rows;
-  out->cols = n;
-  out->data.assign(static_cast<size_t>(out->rows) * n, 0.f);
+  const int dim = wp_.value.rows;
+  // The sparse path pays off from a density of about 1/4, once the batch
+  // is wide enough to amortize transposing the three weight matrices.
+  if (4 * CountNonZero(x) + 12 * static_cast<size_t>(x.rows) <=
+      x.data.size()) {
+    ForwardSparse(x, left, right, out);
+    return;
+  }
+  ResizeZeroed(dim, n, out);
   AddMatMul(wp_.value, x, out);
 
   // One child pass: gather the present children's columns, multiply them
   // compactly, then scatter-add each result column with a single add per
-  // element — the same "+= acc" grouping Forward uses, so batched outputs
-  // match the per-item path bitwise.
+  // element, so a column's value never depends on its batch neighbours.
   auto child_pass = [&](const std::vector<int>& child, const Param& w) {
     std::vector<int> cols;
     for (int i = 0; i < n; ++i) {
@@ -149,9 +191,9 @@ void TreeConvLayer::ForwardBatch(const Mat& x, const std::vector<int>& left,
       const int src = child[cols[k]];
       for (int r = 0; r < x.rows; ++r) xc.at(r, static_cast<int>(k)) = x.at(r, src);
     }
-    Mat pc(out->rows, static_cast<int>(cols.size()));
+    Mat pc(dim, static_cast<int>(cols.size()));
     AddMatMul(w.value, xc, &pc);
-    for (int r = 0; r < out->rows; ++r) {
+    for (int r = 0; r < dim; ++r) {
       for (size_t k = 0; k < cols.size(); ++k) {
         out->at(r, cols[k]) += pc.at(r, static_cast<int>(k));
       }
@@ -160,72 +202,164 @@ void TreeConvLayer::ForwardBatch(const Mat& x, const std::vector<int>& left,
   child_pass(left, wl_);
   child_pass(right, wr_);
 
-  for (int r = 0; r < out->rows; ++r) {
+  for (int r = 0; r < dim; ++r) {
     const float b = b_.value.at(r, 0);
     for (int j = 0; j < n; ++j) out->at(r, j) += b;
   }
 }
 
-void TreeConvLayer::Backward(const std::vector<Vec>& in,
-                             const std::vector<int>& left,
-                             const std::vector<int>& right,
-                             const std::vector<Vec>& dout,
-                             std::vector<Vec>* din) {
-  const int n = static_cast<int>(in.size());
-  if (din) {
-    din->assign(n, Vec(wp_.value.cols, 0.f));
-  }
-  for (int i = 0; i < n; ++i) {
-    const Vec& dy = dout[i];
-    OuterAcc(dy, in[i], &wp_.grad);
-    if (din) MatTVec(wp_.value, dy, &(*din)[i]);
-    if (left[i] >= 0) {
-      OuterAcc(dy, in[left[i]], &wl_.grad);
-      if (din) MatTVec(wl_.value, dy, &(*din)[left[i]]);
+void TreeConvLayer::ForwardSparse(const Mat& x, const std::vector<int>& left,
+                                  const std::vector<int>& right,
+                                  Mat* out) const {
+  // The dense path's sums term for term: each product sums its nonzero
+  // inputs in ascending order from zero (a skipped zero term adds +-0 to an
+  // accumulator that is never -0, an identity), child products are added
+  // with one add per element, then the bias. Output columns are built
+  // transposed so every nonzero input adds a scaled row of W^T to them.
+  const int n = x.cols;
+  const int dim = wp_.value.rows;
+  const SparseColumns nz(x);
+  Mat wpt, wlt, wrt;
+  Transpose(wp_.value, &wpt);
+  Transpose(wl_.value, &wlt);
+  Transpose(wr_.value, &wrt);
+  auto product = [&](const Mat& wt, int src, float* y) {
+    for (int k = nz.begin[src]; k < nz.begin[src + 1]; ++k) {
+      const int c = nz.row[k];
+      Axpy(x.at(c, src), &wt.data[static_cast<size_t>(c) * dim], y, dim);
     }
-    if (right[i] >= 0) {
-      OuterAcc(dy, in[right[i]], &wr_.grad);
-      if (din) MatTVec(wr_.value, dy, &(*din)[right[i]]);
+  };
+  Mat outt(n, dim);
+  std::vector<float> child(static_cast<size_t>(dim));
+  for (int j = 0; j < n; ++j) {
+    float* y = &outt.data[static_cast<size_t>(j) * dim];
+    product(wpt, j, y);
+    if (left[j] >= 0) {
+      std::fill(child.begin(), child.end(), 0.f);
+      product(wlt, left[j], child.data());
+      for (int r = 0; r < dim; ++r) y[r] += child[r];
     }
-    for (int r = 0; r < b_.grad.rows; ++r) b_.grad.at(r, 0) += dy[r];
+    if (right[j] >= 0) {
+      std::fill(child.begin(), child.end(), 0.f);
+      product(wrt, right[j], child.data());
+      for (int r = 0; r < dim; ++r) y[r] += child[r];
+    }
+    for (int r = 0; r < dim; ++r) y[r] += b_.value.data[r];
   }
+  Transpose(outt, out);
 }
 
-void DynamicMaxPool(const std::vector<Vec>& nodes, Vec* out,
-                    std::vector<int>* argmax) {
-  const int dim = static_cast<int>(nodes[0].size());
-  out->assign(dim, -1e30f);
-  argmax->assign(dim, 0);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    for (int d = 0; d < dim; ++d) {
-      if (nodes[i][d] > (*out)[d]) {
-        (*out)[d] = nodes[i][d];
-        (*argmax)[d] = static_cast<int>(i);
+void TreeConvLayer::BackwardBatch(const Mat& x, const std::vector<int>& left,
+                                  const std::vector<int>& right, const Mat& dy,
+                                  Mat* dx) {
+  const int n = x.cols;
+  const int in = x.rows;
+  const int out = dy.rows;
+  for (int r = 0; r < out; ++r) {
+    for (int j = 0; j < n; ++j) b_.grad.at(r, 0) += dy.at(r, j);
+  }
+
+  // Weight gradients: dW[r][c] gains dy[r][j] * x[c][src(j)] for every
+  // column j in order. Either operand's zeros can be skipped, so take the
+  // path that touches fewer terms.
+  if (CountNonZero(dy) * in <= CountNonZero(x) * out) {
+    // Sparse dy (after max pooling, few node rows carry gradient): each
+    // nonzero dy element adds a scaled input column to one gradient row.
+    Mat xt;
+    Transpose(x, &xt);
+    auto col = [&](int j) { return &xt.data[static_cast<size_t>(j) * in]; };
+    auto row = [&](Param& p, int r) {
+      return &p.grad.data[static_cast<size_t>(r) * in];
+    };
+    for (int j = 0; j < n; ++j) {
+      for (int r = 0; r < out; ++r) {
+        const float d = dy.at(r, j);
+        if (d == 0) continue;
+        Axpy(d, col(j), row(wp_, r), in);
+        if (left[j] >= 0) Axpy(d, col(left[j]), row(wl_, r), in);
+        if (right[j] >= 0) Axpy(d, col(right[j]), row(wr_, r), in);
       }
     }
+  } else {
+    // Sparse x (one-hot node features): accumulate transposed gradients so
+    // each nonzero input adds a scaled dy column, vectorized over rows.
+    const SparseColumns nz(x);
+    Mat dyt, gp, gl, gr;
+    Transpose(dy, &dyt);
+    Transpose(wp_.grad, &gp);
+    Transpose(wl_.grad, &gl);
+    Transpose(wr_.grad, &gr);
+    auto add_col = [&](int src, const float* dyj, Mat* g) {
+      for (int k = nz.begin[src]; k < nz.begin[src + 1]; ++k) {
+        const int c = nz.row[k];
+        Axpy(x.at(c, src), dyj, &g->data[static_cast<size_t>(c) * out], out);
+      }
+    };
+    for (int j = 0; j < n; ++j) {
+      const float* dyj = &dyt.data[static_cast<size_t>(j) * out];
+      add_col(j, dyj, &gp);
+      if (left[j] >= 0) add_col(left[j], dyj, &gl);
+      if (right[j] >= 0) add_col(right[j], dyj, &gr);
+    }
+    Transpose(gp, &wp_.grad);
+    Transpose(gl, &wl_.grad);
+    Transpose(gr, &wr_.grad);
   }
-}
+  if (!dx) return;
 
-void DynamicMaxPoolBackward(const Vec& dout, const std::vector<int>& argmax,
-                            std::vector<Vec>* dnodes) {
-  for (size_t d = 0; d < dout.size(); ++d) {
-    (*dnodes)[argmax[d]][d] += dout[d];
+  // Input gradient, built transposed: column j's nonzero dy rows add scaled
+  // weight rows to dx[j], dx[left[j]] and dx[right[j]].
+  Mat dxt(n, in);
+  auto dx_col = [&](int j) { return &dxt.data[static_cast<size_t>(j) * in]; };
+  auto wrow = [&](const Param& p, int r) {
+    return &p.value.data[static_cast<size_t>(r) * in];
+  };
+  for (int j = 0; j < n; ++j) {
+    for (int r = 0; r < out; ++r) {
+      const float d = dy.at(r, j);
+      if (d == 0) continue;
+      Axpy(d, wrow(wp_, r), dx_col(j), in);
+      if (left[j] >= 0) Axpy(d, wrow(wl_, r), dx_col(left[j]), in);
+      if (right[j] >= 0) Axpy(d, wrow(wr_, r), dx_col(right[j]), in);
+    }
   }
+  Transpose(dxt, dx);
 }
 
 void DynamicMaxPoolBatch(const Mat& nodes, const std::vector<int>& item_begin,
-                         Mat* pooled) {
+                         Mat* pooled, std::vector<int>* argmax) {
   const int dim = nodes.rows;
   const int items = static_cast<int>(item_begin.size()) - 1;
   pooled->rows = dim;
   pooled->cols = items;
   pooled->data.assign(static_cast<size_t>(dim) * items, -1e30f);
+  if (argmax) argmax->resize(static_cast<size_t>(dim) * items);
   for (int it = 0; it < items; ++it) {
+    if (argmax) {
+      for (int d = 0; d < dim; ++d) {
+        (*argmax)[static_cast<size_t>(d) * items + it] = item_begin[it];
+      }
+    }
     for (int col = item_begin[it]; col < item_begin[it + 1]; ++col) {
       for (int d = 0; d < dim; ++d) {
         const float v = nodes.at(d, col);
-        if (v > pooled->at(d, it)) pooled->at(d, it) = v;
+        if (v > pooled->at(d, it)) {
+          pooled->at(d, it) = v;
+          if (argmax) (*argmax)[static_cast<size_t>(d) * items + it] = col;
+        }
       }
+    }
+  }
+}
+
+void DynamicMaxPoolBatchBackward(const Mat& dpooled,
+                                 const std::vector<int>& argmax, int cols,
+                                 Mat* dnodes) {
+  ResizeZeroed(dpooled.rows, cols, dnodes);
+  for (int d = 0; d < dpooled.rows; ++d) {
+    for (int it = 0; it < dpooled.cols; ++it) {
+      dnodes->at(d, argmax[static_cast<size_t>(d) * dpooled.cols + it]) +=
+          dpooled.at(d, it);
     }
   }
 }

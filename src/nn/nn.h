@@ -2,6 +2,10 @@
 // network needs: fully-connected layers, ReLU, Neo-style tree convolution
 // with dynamic (max) pooling, L2 loss, and Adam — with manual backward
 // passes verified against finite differences in tests. No external deps.
+//
+// One kernel family serves training and inference: every layer works on
+// column batches (one column per item, or per plan-tree node with the
+// trees of many items stacked side by side).
 #pragma once
 
 #include <cstdint>
@@ -30,23 +34,21 @@ struct Mat {
   void Zero() { std::fill(data.begin(), data.end(), 0.f); }
 };
 
-/// y += W x
-void MatVec(const Mat& w, const Vec& x, Vec* y);
-/// dx += W^T dy
-void MatTVec(const Mat& w, const Vec& dy, Vec* dx);
-/// dW += dy x^T
-void OuterAcc(const Vec& dy, const Vec& x, Mat* dw);
+/// t = x^T (x.cols x x.rows).
+void Transpose(const Mat& x, Mat* t);
 
 /// y += W x for a column batch x (y: W.rows x x.cols). Every output element
-/// accumulates over W's columns in ascending order — exactly MatVec's
-/// summation order — so an element's value is bitwise independent of which
-/// other columns share the batch, and batched results match per-item MatVec
-/// results exactly. Unlike MatVec's serial reduction, the inner loop runs
-/// across independent batch columns, which is what makes batching fast.
+/// accumulates its terms over W's columns in ascending order, one add per
+/// term, whatever else shares the batch: an element's value is bitwise
+/// independent of the other columns, so an item scores the same alone or in
+/// any batch. The inner loop runs across independent batch columns, which
+/// is what makes batching fast.
 void AddMatMul(const Mat& w, const Mat& x, Mat* y);
 
-/// In-place ReLU over a whole matrix (elementwise, same as ReluForward).
+/// In-place ReLU over a whole matrix.
 void ReluMatForward(Mat* x);
+/// dy *= 1[y > 0] elementwise, where y is the post-ReLU activation.
+void ReluMatBackward(const Mat& y, Mat* dy);
 
 /// A trainable parameter: value + gradient (+ Adam moments).
 struct Param {
@@ -66,12 +68,12 @@ class Linear {
   Linear() = default;
   Linear(int in, int out, Rng* rng);
 
-  void Forward(const Vec& x, Vec* y) const;
-  /// Batched Forward over a column batch: y = W x + b per column. Bitwise
-  /// matches Forward on each column (see AddMatMul).
+  /// y = W x + b per column of a column batch (see AddMatMul).
   void ForwardBatch(const Mat& x, Mat* y) const;
-  /// Accumulates dW, db; adds W^T dy into dx (dx may be null).
-  void Backward(const Vec& x, const Vec& dy, Vec* dx);
+  /// Backward over a column batch: accumulates dW += dy x^T and db += dy,
+  /// each gradient element taking its terms in column order, one add per
+  /// term; sets dx = W^T dy (dx may be null).
+  void BackwardBatch(const Mat& x, const Mat& dy, Mat* dx);
 
   void CollectParams(std::vector<Param*>* out) {
     out->push_back(&w_);
@@ -86,18 +88,9 @@ class Linear {
   Param w_, b_;
 };
 
-inline void ReluForward(Vec* x) {
-  for (float& v : *x) v = v > 0 ? v : 0;
-}
-/// dx *= 1[y > 0], where y is the post-ReLU activation.
-inline void ReluBackward(const Vec& y, Vec* dy) {
-  for (size_t i = 0; i < y.size(); ++i) {
-    if (y[i] <= 0) (*dy)[i] = 0;
-  }
-}
-
 /// A binary-tree-structured batch item for tree convolution: node features
-/// plus child indices (-1 for none).
+/// plus child indices (-1 for none). Batched kernels stack many items'
+/// nodes as the columns of one matrix, with child indices made global.
 struct TreeSample {
   std::vector<Vec> features;  // per node
   std::vector<int> left;      // per node, -1 if leaf
@@ -111,20 +104,27 @@ class TreeConvLayer {
   TreeConvLayer() = default;
   TreeConvLayer(int in, int out, Rng* rng);
 
-  void Forward(const std::vector<Vec>& in, const std::vector<int>& left,
-               const std::vector<int>& right, std::vector<Vec>* out) const;
-  /// Batched Forward over node-stacked columns: column i of `out` is
+  /// Forward over node-stacked columns: column i of `out` is
   /// Wp x[i] + Wl x[left[i]] + Wr x[right[i]] + b (missing children
   /// contribute nothing). `left`/`right` index columns of `x`; trees from
   /// many batch items may be concatenated as long as indices are global.
-  /// Bitwise matches per-item Forward: each child pass is accumulated as a
-  /// single add per element, preserving Forward's summation grouping.
+  /// Each child product is summed on its own (AddMatMul order) and then
+  /// added to the column with a single add per element, so a column's value
+  /// is bitwise independent of the rest of the batch. Mostly-zero x
+  /// (one-hot plan features) takes a sparse path that sums the same
+  /// nonzero terms in the same order.
   void ForwardBatch(const Mat& x, const std::vector<int>& left,
                     const std::vector<int>& right, Mat* out) const;
-  /// Backprops into dIn (accumulated) and the three weight grads.
-  void Backward(const std::vector<Vec>& in, const std::vector<int>& left,
-                const std::vector<int>& right, const std::vector<Vec>& dout,
-                std::vector<Vec>* din);
+  /// Backward over node-stacked columns. Accumulates the weight and bias
+  /// gradients; sets dx = d(loss)/dx when dx is non-null. Every gradient
+  /// element takes its terms in column order, one add per term, and column
+  /// i's gradient flows to dx[i], dx[left[i]], dx[right[i]] in that order,
+  /// with each input's terms in ascending output row. Zero terms are
+  /// skipped: adding +-0 to an accumulator that started at +0 is an
+  /// identity. Results are therefore bitwise equal to backpropagating the
+  /// columns one at a time in order, whatever the sparsity path taken.
+  void BackwardBatch(const Mat& x, const std::vector<int>& left,
+                     const std::vector<int>& right, const Mat& dy, Mat* dx);
 
   void CollectParams(std::vector<Param*>* out) {
     out->push_back(&wp_);
@@ -136,20 +136,26 @@ class TreeConvLayer {
   int out_dim() const { return wp_.value.rows; }
 
  private:
+  /// ForwardBatch's sparse path, bitwise equal to the dense one.
+  void ForwardSparse(const Mat& x, const std::vector<int>& left,
+                     const std::vector<int>& right, Mat* out) const;
+
   Param wp_, wl_, wr_, b_;
 };
 
-/// Max pooling over nodes; records argmax for backward.
-void DynamicMaxPool(const std::vector<Vec>& nodes, Vec* out,
-                    std::vector<int>* argmax);
-void DynamicMaxPoolBackward(const Vec& dout, const std::vector<int>& argmax,
-                            std::vector<Vec>* dnodes);
-
-/// Batched dynamic max pooling over node-stacked columns: item i pools the
-/// columns [item_begin[i], item_begin[i+1]) of `nodes` into column i of
-/// `pooled` (dim x num_items). Matches DynamicMaxPool per item.
+/// Dynamic max pooling over node-stacked columns: item i pools the columns
+/// [item_begin[i], item_begin[i+1]) of `nodes` into column i of `pooled`
+/// (dim x num_items). When `argmax` is non-null it receives, per pooled
+/// element (row-major, like `pooled`), the column that won: the first one
+/// holding the maximum.
 void DynamicMaxPoolBatch(const Mat& nodes, const std::vector<int>& item_begin,
-                         Mat* pooled);
+                         Mat* pooled, std::vector<int>* argmax = nullptr);
+/// Routes `dpooled` back to the winning columns: dnodes becomes a
+/// dpooled.rows x `cols` zero matrix holding dpooled's values at the
+/// argmax cells.
+void DynamicMaxPoolBatchBackward(const Mat& dpooled,
+                                 const std::vector<int>& argmax, int cols,
+                                 Mat* dnodes);
 
 /// Adam optimizer over a set of parameters.
 class Adam {

@@ -52,6 +52,27 @@ TEST_F(AgentTest, SimulationBootstrapThenIterations) {
             agent.curve()[0].virtual_seconds);
 }
 
+TEST_F(AgentTest, ReportsTrainingPhases) {
+  Env& env = SharedEnv();
+  BalsaAgentOptions options = FastOptions();
+  options.iterations = 2;
+  BalsaAgent agent(&env.schema(), env.pg_engine.get(), env.cout_model.get(),
+                   env.estimator.get(), &env.workload, options);
+  ASSERT_TRUE(agent.Train().ok());
+  // The simulation bootstrap's V_sim training.
+  EXPECT_GT(agent.sim_stats().train_seconds, 0);
+  EXPECT_GE(agent.sim_stats().train_epochs, 1);
+  EXPECT_LE(agent.sim_stats().train_epochs, options.sim_train.max_epochs);
+  // Every iteration's V_real update.
+  for (const IterationStats& s : agent.curve()) {
+    EXPECT_GT(s.train_ms, 0);
+    EXPECT_GE(s.train_epochs, 1);
+    EXPECT_LE(s.train_epochs, options.real_train.max_epochs);
+    EXPECT_GT(s.train_loss, 0);
+    EXPECT_GT(s.val_loss, 0);
+  }
+}
+
 TEST_F(AgentTest, IterationZeroHasNoTimeoutThenTimeoutsApply) {
   Env& env = SharedEnv();
   BalsaAgent agent(&env.schema(), env.pg_engine.get(), env.cout_model.get(),
