@@ -56,30 +56,35 @@ StatusOr<Plan> BaoAgent::ArmPlan(const Query& query, int arm) const {
 }
 
 StatusOr<int> BaoAgent::BestPredictedArm(const Query& query) const {
-  nn::Vec query_feat = featurizer_.QueryFeatures(query);
-  int best_arm = 0;
-  double best_pred = std::numeric_limits<double>::infinity();
-  // Distinct arms can yield identical plans; dedupe predictions by
-  // fingerprint so ties resolve to the lowest arm id.
-  std::unordered_map<uint64_t, double> memo;
+  // Distinct arms can yield identical plans; each distinct plan (by
+  // fingerprint) is featurized once, and all of them are scored in one
+  // batch. Scores do not depend on the batch, so this picks the same arm
+  // as scoring each plan alone.
+  std::vector<int> arm_tree(num_arms(), -1);  // -1: infeasible arm
+  std::vector<nn::TreeSample> trees;
+  std::unordered_map<uint64_t, int> tree_of_plan;
   for (int a = 0; a < num_arms(); ++a) {
     // Some hint sets are infeasible for some queries (e.g. index-NL-only
     // when no index applies); the optimizer simply ignores those arms.
     auto plan_or = ArmPlan(query, a);
     if (!plan_or.ok()) continue;
-    Plan plan = std::move(plan_or).value();
-    uint64_t fp = plan.Fingerprint();
-    auto it = memo.find(fp);
-    double pred;
-    if (it != memo.end()) {
-      pred = it->second;
-    } else {
-      pred = network_->Predict(query_feat,
-                               featurizer_.PlanFeatures(query, plan));
-      memo.emplace(fp, pred);
-    }
-    if (pred < best_pred) {
-      best_pred = pred;
+    const Plan& plan = plan_or.value();
+    auto [it, inserted] = tree_of_plan.emplace(
+        plan.Fingerprint(), static_cast<int>(trees.size()));
+    if (inserted) trees.push_back(featurizer_.PlanFeatures(query, plan));
+    arm_tree[a] = it->second;
+  }
+  std::vector<const nn::TreeSample*> batch;
+  for (const nn::TreeSample& tree : trees) batch.push_back(&tree);
+  const std::vector<double> preds =
+      network_->ForwardBatch(featurizer_.QueryFeatures(query), batch);
+  // Ties resolve to the lowest arm id.
+  int best_arm = 0;
+  double best_pred = std::numeric_limits<double>::infinity();
+  for (int a = 0; a < num_arms(); ++a) {
+    if (arm_tree[a] < 0) continue;
+    if (preds[arm_tree[a]] < best_pred) {
+      best_pred = preds[arm_tree[a]];
       best_arm = a;
     }
   }

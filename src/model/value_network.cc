@@ -78,8 +78,7 @@ void ValueNetwork::Forward(const std::vector<const nn::Vec*>& queries,
   const int total = b.begin[items];
   const int qd = config_.query_dim;
   const int nd = config_.node_dim;
-  // One contiguous row per node first, then a single transpose into x.
-  nn::Mat rows(total, qd + nd);
+  b.x = nn::Mat(qd + nd, total);
   b.left.resize(static_cast<size_t>(total));
   b.right.resize(static_cast<size_t>(total));
   for (int i = 0; i < items; ++i) {
@@ -87,16 +86,14 @@ void ValueNetwork::Forward(const std::vector<const nn::Vec*>& queries,
     const nn::Vec& query = *queries[i];
     for (size_t node = 0; node < tree.features.size(); ++node) {
       const int col = b.begin[i] + static_cast<int>(node);
-      float* row = &rows.data[static_cast<size_t>(col) * (qd + nd)];
-      std::copy(query.begin(), query.begin() + qd, row);
-      std::copy(tree.features[node].begin(),
-                tree.features[node].begin() + nd, row + qd);
+      for (int r = 0; r < qd; ++r) b.x.at(r, col) = query[r];
+      const nn::Vec& feat = tree.features[node];
+      for (int r = 0; r < nd; ++r) b.x.at(qd + r, col) = feat[r];
       b.left[col] = tree.left[node] >= 0 ? b.begin[i] + tree.left[node] : -1;
       b.right[col] =
           tree.right[node] >= 0 ? b.begin[i] + tree.right[node] : -1;
     }
   }
-  nn::Transpose(rows, &b.x);
 
   tc1_.ForwardBatch(b.x, b.left, b.right, &b.h1);
   nn::ReluMatForward(&b.h1);

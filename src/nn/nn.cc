@@ -47,9 +47,7 @@ void ResizeZeroed(int rows, int cols, Mat* m) {
   m->data.assign(static_cast<size_t>(rows) * cols, 0.f);
 }
 
-}  // namespace
-
-// Tiled, so both sides stay in cache.
+/// t = x^T (x.cols x x.rows), tiled so both sides stay in cache.
 void Transpose(const Mat& x, Mat* t) {
   constexpr int kTile = 16;
   t->rows = x.cols;
@@ -65,6 +63,8 @@ void Transpose(const Mat& x, Mat* t) {
     }
   }
 }
+
+}  // namespace
 
 void AddMatMul(const Mat& w, const Mat& x, Mat* y) {
   const int n = x.cols;
@@ -167,13 +167,6 @@ void TreeConvLayer::ForwardBatch(const Mat& x, const std::vector<int>& left,
                                  Mat* out) const {
   const int n = x.cols;
   const int dim = wp_.value.rows;
-  // The sparse path pays off from a density of about 1/4, once the batch
-  // is wide enough to amortize transposing the three weight matrices.
-  if (4 * CountNonZero(x) + 12 * static_cast<size_t>(x.rows) <=
-      x.data.size()) {
-    ForwardSparse(x, left, right, out);
-    return;
-  }
   ResizeZeroed(dim, n, out);
   AddMatMul(wp_.value, x, out);
 
@@ -206,47 +199,6 @@ void TreeConvLayer::ForwardBatch(const Mat& x, const std::vector<int>& left,
     const float b = b_.value.at(r, 0);
     for (int j = 0; j < n; ++j) out->at(r, j) += b;
   }
-}
-
-void TreeConvLayer::ForwardSparse(const Mat& x, const std::vector<int>& left,
-                                  const std::vector<int>& right,
-                                  Mat* out) const {
-  // The dense path's sums term for term: each product sums its nonzero
-  // inputs in ascending order from zero (a skipped zero term adds +-0 to an
-  // accumulator that is never -0, an identity), child products are added
-  // with one add per element, then the bias. Output columns are built
-  // transposed so every nonzero input adds a scaled row of W^T to them.
-  const int n = x.cols;
-  const int dim = wp_.value.rows;
-  const SparseColumns nz(x);
-  Mat wpt, wlt, wrt;
-  Transpose(wp_.value, &wpt);
-  Transpose(wl_.value, &wlt);
-  Transpose(wr_.value, &wrt);
-  auto product = [&](const Mat& wt, int src, float* y) {
-    for (int k = nz.begin[src]; k < nz.begin[src + 1]; ++k) {
-      const int c = nz.row[k];
-      Axpy(x.at(c, src), &wt.data[static_cast<size_t>(c) * dim], y, dim);
-    }
-  };
-  Mat outt(n, dim);
-  std::vector<float> child(static_cast<size_t>(dim));
-  for (int j = 0; j < n; ++j) {
-    float* y = &outt.data[static_cast<size_t>(j) * dim];
-    product(wpt, j, y);
-    if (left[j] >= 0) {
-      std::fill(child.begin(), child.end(), 0.f);
-      product(wlt, left[j], child.data());
-      for (int r = 0; r < dim; ++r) y[r] += child[r];
-    }
-    if (right[j] >= 0) {
-      std::fill(child.begin(), child.end(), 0.f);
-      product(wrt, right[j], child.data());
-      for (int r = 0; r < dim; ++r) y[r] += child[r];
-    }
-    for (int r = 0; r < dim; ++r) y[r] += b_.value.data[r];
-  }
-  Transpose(outt, out);
 }
 
 void TreeConvLayer::BackwardBatch(const Mat& x, const std::vector<int>& left,

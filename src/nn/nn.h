@@ -34,9 +34,6 @@ struct Mat {
   void Zero() { std::fill(data.begin(), data.end(), 0.f); }
 };
 
-/// t = x^T (x.cols x x.rows).
-void Transpose(const Mat& x, Mat* t);
-
 /// y += W x for a column batch x (y: W.rows x x.cols). Every output element
 /// accumulates its terms over W's columns in ascending order, one add per
 /// term, whatever else shares the batch: an element's value is bitwise
@@ -110,9 +107,7 @@ class TreeConvLayer {
   /// many batch items may be concatenated as long as indices are global.
   /// Each child product is summed on its own (AddMatMul order) and then
   /// added to the column with a single add per element, so a column's value
-  /// is bitwise independent of the rest of the batch. Mostly-zero x
-  /// (one-hot plan features) takes a sparse path that sums the same
-  /// nonzero terms in the same order.
+  /// is bitwise independent of the rest of the batch.
   void ForwardBatch(const Mat& x, const std::vector<int>& left,
                     const std::vector<int>& right, Mat* out) const;
   /// Backward over node-stacked columns. Accumulates the weight and bias
@@ -136,10 +131,6 @@ class TreeConvLayer {
   int out_dim() const { return wp_.value.rows; }
 
  private:
-  /// ForwardBatch's sparse path, bitwise equal to the dense one.
-  void ForwardSparse(const Mat& x, const std::vector<int>& left,
-                     const std::vector<int>& right, Mat* out) const;
-
   Param wp_, wl_, wr_, b_;
 };
 
