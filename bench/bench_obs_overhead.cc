@@ -1,8 +1,10 @@
 // Observability overhead gate: serving throughput with the full metrics +
-// tracing instrumentation attached must stay within 3% of the same server
-// with recording disabled (obs::SetEnabled(false) turns every histogram
-// record and sampling decision into a relaxed load plus a branch — the
-// runtime equivalent of compiling the instrumentation out).
+// tracing + trace-retention instrumentation on must stay within 3% of the
+// same server with recording disabled (obs::SetEnabled(false) turns every
+// histogram record, sampling decision, trace shell and retention decision
+// into a relaxed load plus a branch — the runtime equivalent of compiling
+// the instrumentation out). Retention is always on, so this is also the
+// flight recorder's cost gate.
 //
 // Two workloads, both measured median-of-N with instrumented/baseline
 // phases interleaved to damp machine noise:
@@ -108,10 +110,12 @@ int Run(const OverheadConfig& config, const BenchFlags& flags) {
   base_options.planner.beam_size = config.beam_size;
   base_options.planner.top_k = config.top_k;
 
-  // The instrumented server: every metric attached to the default registry
-  // and 1-in-16 request tracing — the configuration a production deployment
-  // would run. The baseline server attaches nothing and never samples; its
-  // remaining record sites are neutralized per-phase by the kill switch.
+  // The instrumented server: every metric attached to the default registry,
+  // 1-in-64 head sampling, and tail retention of every completion — the
+  // configuration a production deployment would run. The baseline server
+  // attaches nothing and never head-samples; its remaining record sites —
+  // miss shells, spans, retention — are neutralized per-phase by the kill
+  // switch.
   OptimizerServerOptions instrumented_options = base_options;
   instrumented_options.metrics = &obs::MetricsRegistry::Default();
   instrumented_options.trace.sample_every = 64;  // the production default

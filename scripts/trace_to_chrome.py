@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Convert a flight-recorder JSONL dump to Chrome tracing format.
 
-The flight recorder (src/obs/flight_recorder.h) exports retained traces as
-JSONL — one self-contained object per line with the completion metadata and
-the trace's spans inline. This script turns that into the Chrome tracing /
+The flight recorder — the RequestTracer's always-on tail retention
+(src/obs/trace.h) — exports retained traces as JSONL: one self-contained
+object per line with the completion metadata (latency, unattributed
+remainder, outcome, a coalesced request's leader_trace_id, and for
+row-capped requests the plan and its execution) and the trace's spans
+inline. This script turns that into the Chrome tracing /
 Perfetto JSON event format, so a tail-latency investigation is one drag-and-
 drop away from a timeline:
 
@@ -17,7 +20,9 @@ after the query, outcome, and end-to-end latency. Spans become complete
 ("ph": "X") events at their recorded start/duration; a span-less shell (a
 retained cache hit — the hit path allocates no spans by design) still gets
 one synthetic event covering its full latency so it is visible on the
-timeline. Stdlib only; reads a path or stdin.
+timeline. A coalesced request's leader_trace_id is in its event args: find
+the process whose name ends in that #id to see the beam search it waited
+on. Stdlib only; reads a path or stdin.
 """
 
 import argparse
@@ -84,8 +89,10 @@ def convert(traces):
             "args": {
                 "trace_id": trace.get("trace_id", 0),
                 "fingerprint": trace.get("fingerprint", ""),
-                "completion_index": trace.get("completion_index", 0),
+                "leader_trace_id": trace.get("leader_trace_id", 0),
+                "unattributed_us": trace.get("unattributed_us", 0),
                 "flags": ",".join(flags) or "none",
+                "plan": trace.get("plan", ""),
             },
         })
         for span in trace.get("spans", []):

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "src/obs/export.h"
-#include "src/obs/flight_recorder.h"
 
 namespace balsa::introspect {
 
@@ -26,7 +25,6 @@ int64_t CounterValue(const obs::RegistrySnapshot& snapshot,
 struct StatuszData {
   int64_t requests = 0;
   int64_t hits = 0;
-  int64_t slow_queries = 0;
   double hit_rate = 0;
   double qps = -1;  // -1 = no sampler window
   struct OutcomeLatency {
@@ -53,13 +51,12 @@ struct StatuszData {
   double ingest_rows_per_sec = -1;
   int64_t sampler_ticks = 0;
   size_t sampler_series = 0;
-  std::vector<SlowQueryEvent> slow;  // newest first, truncated
   std::vector<obs::RuleStatus> alerts;
   std::vector<obs::AlertEvent> alert_events;  // newest first, truncated
   int alerts_firing = 0;
-  bool has_flight = false;
-  obs::TraceStore::Stats flight;
-  std::vector<obs::RetainedTrace> flight_top;  // slowest first, truncated
+  obs::RequestTracer::Stats flight;
+  /// Retained entries, row-capped first, then slowest first; truncated.
+  std::vector<obs::RetainedTrace> slow;
 };
 
 StatuszData Gather(const StatuszSources& sources) {
@@ -68,7 +65,6 @@ StatuszData Gather(const StatuszSources& sources) {
   const std::string& p = sources.serving_prefix;
   data.requests = CounterValue(snapshot, p + ".requests");
   data.hits = CounterValue(snapshot, p + ".hits");
-  data.slow_queries = CounterValue(snapshot, p + ".slow_queries");
   data.hit_rate = data.requests > 0
                       ? static_cast<double>(data.hits) / data.requests
                       : 0;
@@ -121,16 +117,6 @@ StatuszData Gather(const StatuszSources& sources) {
     data.sampler_series = sources.sampler->Series().size();
   }
 
-  if (sources.server != nullptr && sources.max_slow_queries > 0) {
-    std::vector<SlowQueryEvent> events = sources.server->RecentSlowQueries();
-    for (auto it = events.rbegin();
-         it != events.rend() &&
-         data.slow.size() < static_cast<size_t>(sources.max_slow_queries);
-         ++it) {
-      data.slow.push_back(*it);
-    }
-  }
-
   if (sources.health != nullptr) {
     data.alerts = sources.health->Rules();
     for (const obs::RuleStatus& r : data.alerts) {
@@ -146,20 +132,19 @@ StatuszData Gather(const StatuszSources& sources) {
     }
   }
 
-  if (sources.server != nullptr &&
-      sources.server->flight_recorder().enabled()) {
-    const obs::TraceStore& store = sources.server->flight_recorder();
-    data.has_flight = true;
-    data.flight = store.stats();
-    data.flight_top = store.Retained();
-    std::sort(data.flight_top.begin(), data.flight_top.end(),
+  if (sources.server != nullptr) {
+    // Slow queries are a view over the retained set: the row-capped
+    // requests (disastrous plans) first, then the slowest.
+    const obs::RequestTracer& tracer = sources.server->tracer();
+    data.flight = tracer.stats();
+    data.slow = tracer.Retained();
+    std::sort(data.slow.begin(), data.slow.end(),
               [](const obs::RetainedTrace& a, const obs::RetainedTrace& b) {
+                if (a.capped != b.capped) return a.capped;
                 return a.latency_us > b.latency_us;
               });
-    if (data.flight_top.size() >
-        static_cast<size_t>(sources.max_flight_traces)) {
-      data.flight_top.resize(
-          static_cast<size_t>(sources.max_flight_traces));
+    if (data.slow.size() > static_cast<size_t>(sources.max_flight_traces)) {
+      data.slow.resize(static_cast<size_t>(sources.max_flight_traces));
     }
   }
   return data;
@@ -172,8 +157,7 @@ std::string StatuszText(const StatuszSources& sources) {
   std::string out = "== statusz ==\n";
   out += "serving: " + std::to_string(d.requests) + " requests";
   if (d.qps >= 0) out += ", " + FmtF("%.1f", d.qps) + " req/s";
-  out += ", hit rate " + FmtF("%.3f", d.hit_rate);
-  out += ", " + std::to_string(d.slow_queries) + " slow queries\n";
+  out += ", hit rate " + FmtF("%.3f", d.hit_rate) + '\n';
   if (!d.outcomes.empty()) {
     out += "  p50/p99 us by outcome:";
     for (const auto& o : d.outcomes) {
@@ -226,28 +210,30 @@ std::string StatuszText(const StatuszSources& sources) {
     out += "sampler: " + std::to_string(d.sampler_ticks) + " ticks over " +
            std::to_string(d.sampler_series) + " series\n";
   }
-  if (d.has_flight) {
-    out += "flight recorder: " + std::to_string(d.flight.completions) +
-           " completions, retained " +
-           std::to_string(d.flight.retained_top_k) + " top-k + " +
-           std::to_string(d.flight.retained_outcome) + " outcome + " +
-           std::to_string(d.flight.retained_reservoir) + " reservoir, " +
-           std::to_string(d.flight.evicted) + " evicted\n";
-    for (const obs::RetainedTrace& t : d.flight_top) {
+  if (sources.server != nullptr) {
+    out += "flight recorder: " + std::to_string(d.flight.requests) +
+           " requests, retained " + std::to_string(d.flight.retained_top_k) +
+           " top-k + " + std::to_string(d.flight.retained_outcome) +
+           " outcome + " + std::to_string(d.flight.retained_reservoir) +
+           " reservoir, " + std::to_string(d.flight.evicted) + " evicted\n";
+  }
+  if (!d.slow.empty()) {
+    out += "recent slow queries (row-capped, then slowest):\n";
+    for (const obs::RetainedTrace& t : d.slow) {
       out += "  #" + std::to_string(t.trace_id) + " " +
              FmtF("%.1f", t.latency_us) + "us [" + t.outcome + "] " +
              t.query_name + " (" + obs::RetainReasonName(t.reason) + ", " +
              std::to_string(t.trace != nullptr ? t.trace->spans().size() : 0) +
-             " spans)\n";
-    }
-  }
-  if (!d.slow.empty()) {
-    out += "recent slow queries (newest first):\n";
-    for (const SlowQueryEvent& e : d.slow) {
-      out += "  #" + std::to_string(e.sequence) + " " +
-             SlowQueryCauseName(e.cause) + " " + e.query_name + " [" +
-             e.outcome + "] " + FmtF("%.1f", e.serve_micros) + "us " +
-             e.plan_summary + '\n';
+             " spans, unattributed " + FmtF("%.1f", t.unattributed_us()) +
+             "us)";
+      if (t.leader_trace_id != 0) {
+        out += " leader=#" + std::to_string(t.leader_trace_id);
+      }
+      if (t.capped) {
+        out += " row_cap rows_out=" + std::to_string(t.rows_out) + " exec " +
+               FmtF("%.1f", t.exec_us) + "us " + t.plan_summary;
+      }
+      out += '\n';
     }
   }
   return out;
@@ -258,7 +244,6 @@ std::string StatuszJson(const StatuszSources& sources) {
   std::string out = "{\"serving\":{";
   out += "\"requests\":" + std::to_string(d.requests);
   out += ",\"hit_rate\":" + FmtF("%.4f", d.hit_rate);
-  out += ",\"slow_queries\":" + std::to_string(d.slow_queries);
   if (d.qps >= 0) out += ",\"qps\":" + FmtF("%.1f", d.qps);
   out += ",\"outcomes\":[";
   for (size_t i = 0; i < d.outcomes.size(); ++i) {
@@ -322,29 +307,18 @@ std::string StatuszJson(const StatuszSources& sources) {
     }
     out += "]}";
   }
-  if (d.has_flight) {
-    out += ",\"flight_recorder\":{\"completions\":" +
-           std::to_string(d.flight.completions) +
+  if (sources.server != nullptr) {
+    out += ",\"flight_recorder\":{\"requests\":" +
+           std::to_string(d.flight.requests) +
            ",\"top_k\":" + std::to_string(d.flight.retained_top_k) +
            ",\"outcome\":" + std::to_string(d.flight.retained_outcome) +
            ",\"reservoir\":" + std::to_string(d.flight.retained_reservoir) +
-           ",\"evicted\":" + std::to_string(d.flight.evicted) +
-           ",\"slowest\":[";
-    for (size_t i = 0; i < d.flight_top.size(); ++i) {
-      if (i > 0) out += ',';
-      const obs::RetainedTrace& t = d.flight_top[i];
-      out += "{\"trace_id\":" + std::to_string(t.trace_id) +
-             ",\"latency_us\":" + FmtF("%.1f", t.latency_us) +
-             ",\"outcome\":\"" + obs::JsonEscape(t.outcome) +
-             "\",\"query\":\"" + obs::JsonEscape(t.query_name) +
-             "\",\"reason\":\"" + obs::RetainReasonName(t.reason) + "\"}";
-    }
-    out += "]}";
+           ",\"evicted\":" + std::to_string(d.flight.evicted) + '}';
   }
   out += ",\"recent_slow_queries\":[";
   for (size_t i = 0; i < d.slow.size(); ++i) {
     if (i > 0) out += ',';
-    out += SlowQueryLog::EventJson(d.slow[i]);
+    out += obs::RequestTracer::RetainedJson(d.slow[i]);
   }
   out += "]}";
   return out;

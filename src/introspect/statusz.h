@@ -1,10 +1,11 @@
 // Statusz: the one-page "is it healthy" dashboard, assembled from whatever
 // observability sources the caller has — a registry snapshot (required),
 // a TimeSeriesSampler (adds rates: QPS, ingest rows/s), and an
-// OptimizerServer (adds its recent slow queries). Renders as text for
-// terminals (examples/statusz, bench_serving_throughput) and as JSON for
-// tooling. Pure read path: one registry snapshot, one sampler read, one
-// slow-log copy — nothing here perturbs serving.
+// OptimizerServer (adds its retained traces as the slow-query view).
+// Renders as text for terminals (examples/statusz, bench_serving_throughput)
+// and as JSON for tooling. Pure read path: one registry snapshot, one
+// sampler read, one copy of the retained set — nothing here perturbs
+// serving.
 #pragma once
 
 #include <string>
@@ -22,20 +23,17 @@ struct StatuszSources {
   /// Optional: adds derived rates (QPS, ingest rows/s) over the sampler's
   /// retained window.
   const obs::TimeSeriesSampler* sampler = nullptr;
-  /// Optional: adds recent slow-query events and — when the server's
-  /// flight recorder is enabled — the flight_recorder section with its
-  /// slowest retained traces.
+  /// Optional: adds the flight_recorder retention counts and the slow-query
+  /// view over the tracer's retained set (row-capped first, then slowest).
   const OptimizerServer* server = nullptr;
   /// Optional: adds the alerts section (SLO rules with firing state plus
   /// recent fire/resolve transitions).
   const obs::HealthMonitor* health = nullptr;
   /// Metric name prefix the serving stack was attached under.
   std::string serving_prefix = "serving";
-  /// Slow-query events shown (newest first).
-  int max_slow_queries = 5;
   /// Alert transitions shown (newest first).
   int max_alert_events = 5;
-  /// Retained flight-recorder traces shown (slowest first).
+  /// Retained traces shown as slow queries.
   int max_flight_traces = 5;
 };
 
@@ -43,7 +41,7 @@ struct StatuszSources {
 /// exemplar trace ids) and per-stage latency percentiles, SLO alert
 /// states, plan-cache occupancy and hit traffic, storage
 /// epoch/retained-bytes/ingest-rate, flight-recorder retention, and the
-/// most recent slow queries.
+/// slow queries (row-capped, then slowest retained requests).
 std::string StatuszText(const StatuszSources& sources);
 
 /// The same content as one JSON object.

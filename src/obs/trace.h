@@ -1,6 +1,7 @@
-// Sampling request tracer: explains *where* a slow request spent its time.
+// Request tracer: explains *where* a slow request spent its time, and keeps
+// the requests worth explaining.
 //
-// A sampled request carries a Trace — an append-only list of timed spans —
+// A traced request carries a Trace — an append-only list of timed spans —
 // through every stage it touches: fingerprinting and cache lookup on the
 // request thread, beam search and inference scoring on a planning-pool
 // thread, executor scans/joins wherever the plan runs. Propagation is by
@@ -11,33 +12,55 @@
 //
 // Span sites are SpanTimer RAII objects. On a thread with no installed
 // context a SpanTimer is completely inert: one thread-local read, no clock
-// access — unsampled requests pay nothing per span site. On a traced
-// thread each span costs two steady_clock reads and, at destruction, one
-// append to the trace (mutex, sampled-only) plus one Log2Histogram record
-// into the tracer's per-stage histogram. The per-stage histograms are what
-// the benches print as the stage breakdown table; because they are fed by
-// sampled requests they are statistically representative, not exhaustive.
+// access. On a traced thread each span costs two steady_clock reads and, at
+// destruction, one append to the trace (mutex, traced requests only) plus
+// one Log2Histogram record into the tracer's per-stage histogram — the
+// stage breakdown tables the benches print.
 //
-// Sampling is deterministic per recording thread: arrivals are counted on
-// the caller's stripe (obs::ThreadStripe — striped so the counter is not a
-// shared contended cache line), and the k-th arrival on a stripe is
-// sampled iff (k + seed) % sample_every == 0. On a single thread that is a
-// pure function of arrival order and the seed (tests/obs_test.cc pins it);
-// across threads each stripe independently samples 1 in sample_every.
-// Trace ids encode (arrival k, stripe) as k * kThreadStripes + stripe, so
-// ids are globally unique and id / kThreadStripes recovers the arrival
-// index. sample_every = 1 traces everything (tests), 0 disables tracing
-// entirely; the global obs kill switch also disables it.
+// Which requests carry a trace shell:
+//   - head sampling: the k-th arrival on a stripe (obs::ThreadStripe) gets
+//     a shell at arrival iff (k - 1) % sample_every == 0, so its hit-path
+//     stages (fingerprint, cache lookup) are timed too;
+//   - every request that leaves the hit path (a miss or a coalesce) gets
+//     one right then (Arm), which is where tail latency comes from.
+//
+// Retention is tail-based and decided once per request, at completion,
+// when latency and outcome are known (Complete):
+//   - top-K by latency: the K slowest requests ever completed are kept by
+//     construction, so "what did the worst request do?" always has an
+//     answer;
+//   - every error and row-capped outcome, in a bounded ring (the paper's
+//     "disastrous plan" signal; row caps arrive late via PromoteCapped);
+//   - a uniform reservoir of the rest, the baseline to compare against.
+//
+// Cost on the hit path: Begin counts the arrival on the caller's own
+// stripe — the only write — and Complete reads the cached top-K floor and
+// flips a deterministic reservoir coin. The store mutex is taken only by
+// completions that are actually retained. A retained request without a
+// shell gets a span-less one materialized then; an unretained hit never
+// allocates. Request ids encode (arrival k, stripe) as k * kThreadStripes +
+// stripe, so they are unique, never 0, and double as trace ids.
+// obs::SetEnabled(false) turns sampling, shells and retention off.
+//
+// Retained traces export as JSONL (one self-contained object per line,
+// spans inline); scripts/trace_to_chrome.py converts that to a Chrome
+// tracing / Perfetto timeline. Histogram exemplars (Log2Histogram) store
+// ids of retained traces, so a p99 bucket in any dump resolves here.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/obs/metrics.h"
+#include "src/util/status.h"
 #include "src/util/thread_annotations.h"
 
 namespace balsa::obs {
@@ -68,12 +91,15 @@ struct TraceSpan {
   double duration_us = 0;
 };
 
-/// One sampled request's spans. Thread-safe append (spans arrive from the
-/// request thread and planning-pool threads); only sampled requests ever
-/// allocate one, so the mutex is off the common path.
+/// One request's spans. Thread-safe append (spans arrive from the request
+/// thread and planning-pool threads); only traced requests ever allocate
+/// one, so the mutex is off the common path.
 class Trace {
  public:
-  explicit Trace(uint64_t id);
+  /// `start` is the request's arrival: span offsets and the request's
+  /// latency share one origin even when the shell is armed mid-request.
+  explicit Trace(uint64_t id, std::chrono::steady_clock::time_point start =
+                                  std::chrono::steady_clock::now());
 
   uint64_t id() const { return id_; }
   std::chrono::steady_clock::time_point start_time() const { return start_; }
@@ -83,11 +109,19 @@ class Trace {
   /// Number of distinct stages among the recorded spans.
   int NumDistinctStages() const;
   bool HasStage(TraceStage stage) const;
-  /// Total microseconds covered by the union of the span intervals. Spans
-  /// nest (inference inside beam_search), so this — not the plain sum of
-  /// durations — is the time the trace accounts for; it can never exceed
-  /// the request's end-to-end latency by more than clock skew.
-  double SpanUnionMicros() const;
+  /// Total microseconds covered by the union of the span intervals, each
+  /// clipped to [0, clip_end_us]. Spans nest (inference inside
+  /// beam_search), so this — not the plain sum of durations — is the time
+  /// the trace accounts for. Clip at the request's latency to ignore work
+  /// that ran past the response (exec spans of a re-installed trace).
+  double SpanUnionMicros(
+      double clip_end_us = std::numeric_limits<double>::infinity()) const;
+
+  /// A coalesced request's link to the trace of the leader whose planning
+  /// call it waited on (0 = none).
+  void SetLeaderTraceId(uint64_t id);
+  uint64_t leader_trace_id() const;
+
   /// "  cache_lookup  +12.3us  4.5us" lines, one per span, in order.
   std::string ToString() const;
 
@@ -96,82 +130,190 @@ class Trace {
   const std::chrono::steady_clock::time_point start_;
   mutable Mutex mu_;
   std::vector<TraceSpan> spans_ GUARDED_BY(mu_);
+  uint64_t leader_trace_id_ GUARDED_BY(mu_) = 0;
 };
 
 struct RequestTracerOptions {
-  /// Sample one request in this many (1 = every request, 0 = never).
+  /// Head sampling: one arrival in this many gets a trace shell up front
+  /// (1 = every request, 0 = none; misses are traced regardless).
   int sample_every = 64;
-  /// Offsets which request indices are sampled; sampling is a pure
-  /// function of (arrival index, seed).
-  uint64_t seed = 0;
-  /// Completed/retained sampled traces kept for inspection (ring buffer).
-  int max_traces = 64;
+  /// Slowest-ever completions retained (min-heap by latency).
+  int top_k = 16;
+  /// Uniform reservoir of ordinary (non-tail, non-error) completions.
+  int reservoir_size = 32;
+  /// Error / row-capped completions retained (ring, oldest evicted).
+  int max_outcomes = 64;
+  /// Seeds the deterministic reservoir coin flips.
+  uint64_t seed = 1;
 };
 
-/// Owns the sampling decision, the retained-trace ring, and the per-stage
-/// span-duration histograms. One per OptimizerServer (or per traced
+/// Why a completion was retained.
+enum class RetainReason : int { kTopK = 0, kOutcome, kReservoir };
+const char* RetainReasonName(RetainReason reason);
+
+/// What the server reports when a request finishes (Complete) or when its
+/// executed plan turns out row-capped (PromoteCapped).
+struct TraceCompletion {
+  double latency_us = 0;
+  /// "hit" / "miss" / "coalesced" / "error".
+  const char* outcome = "";
+  uint64_t fingerprint = 0;
+  std::string_view query_name;
+  int64_t stats_version = 0;
+  uint64_t data_epoch = 0;
+  bool error = false;
+  bool capped = false;
+  /// Row-cap promotion only: the served plan's one-line rendering, the
+  /// executed root cardinality and the execution's wall time.
+  std::string plan_summary;
+  int64_t rows_out = 0;
+  double exec_us = 0;
+};
+
+/// One retained request: its trace plus what the retention decision was
+/// made on.
+struct RetainedTrace {
+  std::shared_ptr<Trace> trace;
+  uint64_t trace_id = 0;
+  double latency_us = 0;
+  std::string outcome;
+  uint64_t fingerprint = 0;
+  std::string query_name;
+  int64_t stats_version = 0;
+  uint64_t data_epoch = 0;
+  bool error = false;
+  bool capped = false;
+  RetainReason reason = RetainReason::kReservoir;
+  /// Coalesced requests: the trace id of the leader they waited on.
+  uint64_t leader_trace_id = 0;
+  /// Row-capped requests (see TraceCompletion).
+  std::string plan_summary;
+  int64_t rows_out = 0;
+  double exec_us = 0;
+
+  /// Latency not covered by any span: latency minus the union of the
+  /// spans, each clipped to [0, latency_us].
+  double unattributed_us() const;
+};
+
+/// Owns the head-sampling decision, the per-stage span histograms, and
+/// tail-based retention. One per OptimizerServer (or per traced
 /// component); attach to a registry to export the stage histograms.
 class RequestTracer {
  public:
   explicit RequestTracer(RequestTracerOptions options = {});
 
-  /// Returns a fresh Trace for sampled requests, nullptr otherwise (always
-  /// nullptr when tracing or the global kill switch is off). The trace is
-  /// retained in the ring immediately; callers install it with
-  /// ScopedTraceContext and simply drop their reference when done.
-  std::shared_ptr<Trace> MaybeStartTrace();
+  RequestTracer(const RequestTracer&) = delete;
+  RequestTracer& operator=(const RequestTracer&) = delete;
+
+  /// One request from arrival to completion.
+  struct Request {
+    uint64_t id = 0;
+    std::chrono::steady_clock::time_point start;
+    /// Null until the request is head-sampled, armed, or retained.
+    std::shared_ptr<Trace> trace;
+  };
+
+  /// Counts the arrival on the caller's stripe, stamps the start time, and
+  /// starts a trace shell iff the request is head-sampled.
+  Request Begin();
+  /// Gives `request` a shell if it has none — called the moment a request
+  /// leaves the hit path. No-op under the kill switch.
+  void Arm(Request* request);
+
+  /// The retention decision, made exactly once per request. Returns the
+  /// retained trace id, or 0 when the request was let go (callers tag
+  /// histogram exemplars only with ids that resolve). A retained request
+  /// without a shell gets a span-less one in `request->trace`.
+  uint64_t Complete(Request* request, const TraceCompletion& completion);
+
+  /// Late promotion: an executed plan turned out row-capped (the signal
+  /// arrives after Complete). The request ends up in the outcome ring,
+  /// marked capped and carrying the completion's row-cap fields: moved
+  /// there if it was retained as top-K or reservoir, retained now
+  /// (materializing a shell when `request->trace` is null) if it was let
+  /// go.
+  void PromoteCapped(Request* request, const TraceCompletion& completion);
 
   /// Feeds the per-stage histogram (called by SpanTimer; also usable
   /// directly for stages timed by other means). A non-zero `exemplar_id`
-  /// tags the value's bucket with the recording trace's id, linking the
-  /// bucket to a full trace (see Log2Histogram exemplars).
+  /// tags the value's bucket with the recording trace's id.
   void RecordStageMicros(TraceStage stage, double micros,
                          uint64_t exemplar_id = 0);
-
-  /// Marks the tracer as fed by an always-on span path (the flight
-  /// recorder traces every request through this tracer's stage
-  /// histograms instead of head-sampling). Purely descriptive: it only
-  /// changes how exports caption the stage breakdown.
-  void SetAlwaysOn(bool always_on) { always_on_ = always_on; }
-  bool always_on() const { return always_on_; }
 
   const Log2Histogram& stage_histogram(TraceStage stage) const {
     return stage_us_[static_cast<size_t>(stage)];
   }
+  /// Trace shells created (head-sampled, armed, or materialized).
   int64_t traces_started() const { return traces_started_.Value(); }
-  int64_t requests_seen() const;
 
-  /// Retained sampled traces, oldest first. Traces are handed out mutable
-  /// (Trace is internally synchronized, append-only): a driver may
-  /// re-install one with ScopedTraceContext so follow-on work — executing
-  /// the served plan, say — lands its spans in the same request's trace.
-  std::vector<std::shared_ptr<Trace>> RecentTraces() const;
+  /// Every retained trace (top-K, outcomes, reservoir), unordered.
+  std::vector<RetainedTrace> Retained() const;
+  /// Copies the retained entry with `trace_id` into `*out`. False when the
+  /// id is unknown or has been evicted — histogram exemplars may dangle;
+  /// this is the graceful path they resolve through.
+  bool FindTrace(uint64_t trace_id, RetainedTrace* out) const;
+  /// The highest-latency retained entry (false when nothing is retained).
+  bool MaxRetained(RetainedTrace* out) const;
 
-  /// Attaches the per-stage histograms as "<prefix>.stage_us{stage=...}"
-  /// and the sampled-trace counter as "<prefix>.traces".
+  struct Stats {
+    int64_t requests = 0;  // arrivals counted by Begin
+    int64_t retained_top_k = 0;  // currently held
+    int64_t retained_outcome = 0;
+    int64_t retained_reservoir = 0;
+    int64_t evicted = 0;  // ever displaced from any class
+  };
+  Stats stats() const;
+  /// Sum of the per-stripe arrival counters.
+  int64_t requests() const;
+
+  /// One JSON object per retained trace (spans inline), sorted by latency
+  /// descending — the format scripts/trace_to_chrome.py consumes.
+  std::string ToJsonl() const;
+  Status WriteJsonlFile(const std::string& path) const;
+  static std::string RetainedJson(const RetainedTrace& entry);
+
+  /// Attaches the per-stage histograms as "<prefix>.stage_us{stage=...}",
+  /// the shell counter as "<prefix>.traces", and the retention counters as
+  /// "<prefix>.flight_recorder.{retained,evicted}".
   [[nodiscard]] std::vector<Registration> AttachTo(MetricsRegistry* registry,
                                                    const std::string& prefix);
 
   const RequestTracerOptions& options() const { return options_; }
 
  private:
+  std::shared_ptr<Trace> NewTrace(const Request& request);
+  /// Retains `request` as `reason`; returns its trace id, or 0 when it
+  /// lost the under-lock re-check.
+  uint64_t Admit(Request* request, const TraceCompletion& completion,
+                 RetainReason reason);
+
   RequestTracerOptions options_;
-  bool always_on_ = false;
-  /// Power-of-two sample_every takes a mask instead of a modulo on the
-  /// per-request path (the default 64 qualifies).
+  /// Power-of-two sample_every takes a mask instead of a modulo (the
+  /// default 64 qualifies).
   bool sample_pow2_ = false;
   uint64_t sample_mask_ = 0;
-  /// Per-stripe arrival counters (see the file comment): counting a request
-  /// touches only the caller's own cache line.
+  /// Per-stripe arrival counters: counting a request touches only the
+  /// caller's own cache line. The count serves head sampling, request ids
+  /// and the reservoir's n.
   struct alignas(64) ArrivalCounter {
     std::atomic<uint64_t> n{0};
   };
   std::array<ArrivalCounter, kThreadStripes> arrivals_;
   Counter traces_started_;
+  Counter retained_;
+  Counter evicted_;
   std::array<Log2Histogram, kNumTraceStages> stage_us_;
+  /// Latency of the cheapest top-K entry once the heap is full; -1 admits
+  /// everything. Written under mu_, read with a relaxed load as a
+  /// pre-check that Admit re-verifies under the lock.
+  std::atomic<double> top_k_floor_{-1};
 
-  mutable Mutex traces_mu_;
-  std::deque<std::shared_ptr<Trace>> traces_ GUARDED_BY(traces_mu_);
+  mutable Mutex mu_;
+  /// Min-heap by latency (std::*_heap with a greater-than comparator).
+  std::vector<RetainedTrace> top_k_ GUARDED_BY(mu_);
+  std::deque<RetainedTrace> outcomes_ GUARDED_BY(mu_);
+  std::vector<RetainedTrace> reservoir_ GUARDED_BY(mu_);
 };
 
 /// The value threaded through a request: which tracer feeds the stage
@@ -192,7 +334,7 @@ TraceContext CurrentTraceContextCopy();
 
 /// Installs `context` on this thread for the scope; restores the previous
 /// context on destruction. Installing an inactive context is a cheap no-op
-/// (the slot stays clear), so unsampled requests never pay for span sites.
+/// (the slot stays clear), so untraced requests never pay for span sites.
 class ScopedTraceContext {
  public:
   explicit ScopedTraceContext(TraceContext context);

@@ -27,27 +27,25 @@
 // served; the entries themselves are evicted lazily by the cache.
 //
 // Observability: request latency is recorded into per-outcome
-// (hit/miss/coalesced) obs::Log2Histograms, and a sampling
-// obs::RequestTracer threads a TraceContext through the request — the
+// (hit/miss/coalesced) obs::Log2Histograms, and the server's
+// obs::RequestTracer threads a TraceContext through traced requests — the
 // fingerprint, cache-lookup, coalesce-wait, queue-wait, beam-search,
 // inference, and admit stages each record a span (per-stage histograms feed
-// the benches' breakdown tables; sampled traces retain the span list). Pass
-// OptimizerServerOptions::metrics to export everything — server counters,
-// outcome histograms, stage histograms, plan-cache counters, inference
-// stats, planning-pool queue depth and queue wait — through one
-// MetricsRegistry.
+// the benches' breakdown tables). Pass OptimizerServerOptions::metrics to
+// export everything — server counters, outcome histograms, stage
+// histograms, plan-cache counters, inference stats, planning-pool queue
+// depth and queue wait — through one MetricsRegistry.
 //
-// Flight recorder: enabling OptimizerServerOptions::flight_recorder
-// replaces head sampling with tail-based retention — *every* request
-// reports its completion to the server's obs::TraceStore, which keeps the
-// top-K slowest, all error/row-capped outcomes, and a uniform reservoir of
-// normals (src/obs/flight_recorder.h). Trace shells are lazy: a request
-// gets one the moment it leaves the pure hit path (miss or coalesce), so
-// retained tail traces carry the queue-wait/beam-search/inference/admit
-// span story while the microsecond hit path stays allocation- and
-// clock-free. Retained completions tag their latency-histogram bucket with
-// the trace id (exemplars), so a p99 bucket in statusz links to a full
-// retained trace.
+// Trace retention is always on and tail-based (src/obs/trace.h): every
+// request reports its completion to the tracer, which keeps the top-K
+// slowest, every error and row-capped outcome, and a uniform reservoir of
+// the rest. A request gets a trace shell when it is head-sampled or the
+// moment it leaves the pure hit path (miss or coalesce), so retained tail
+// traces carry the queue-wait/beam-search/inference/admit span story while
+// the microsecond hit path stays allocation-free. A coalesced request's
+// trace links to its leader's. Retained completions tag their
+// latency-histogram bucket with the trace id (exemplars), so a p99 bucket
+// in statusz links to a full retained trace.
 //
 // The network pointer is borrowed and must not be trained while requests
 // are in flight (serve and train are distinct phases, as in the agent).
@@ -62,13 +60,11 @@
 
 #include "src/balsa/planner.h"
 #include "src/exec/profile.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/runtime/inference_service.h"
 #include "src/runtime/parallel_executor.h"
 #include "src/serving/plan_cache.h"
-#include "src/serving/slow_query_log.h"
 #include "src/stats/card_oracle.h"
 #include "src/util/thread_annotations.h"
 
@@ -88,16 +84,8 @@ struct OptimizerServerOptions {
   /// into one planning call. Off only for baselines that deliberately plan
   /// every request from scratch.
   bool coalesce_misses = true;
-  /// Request-trace sampling (sample_every = 0 disables tracing).
+  /// Head sampling and trace retention (src/obs/trace.h).
   obs::RequestTracerOptions trace;
-  /// Tail-based trace retention (enabled = false keeps the recorder off).
-  /// When enabled it supersedes head sampling: every request gets a trace
-  /// shell and the TraceStore decides at completion what to retain.
-  obs::TraceStoreOptions flight_recorder;
-  /// Slow-query log triggers and capacity (src/serving/slow_query_log.h).
-  /// The defaults retain row-cap feedback (RecordExecution) but trigger on
-  /// nothing else, so the request path pays only a comparison.
-  SlowQueryLogOptions slow_query;
   /// When set, every serving instrument — counters, latency histograms,
   /// trace stage histograms, plan-cache and inference-service stats, the
   /// planning pool's queue depth — is attached under metrics_prefix.
@@ -134,16 +122,17 @@ class OptimizerServer {
     /// Served by waiting on another request's in-flight planning call.
     bool coalesced = false;
     double serve_micros = 0;
-    /// The request's canonical structural fingerprint (the cache key and
-    /// the slow-query log's correlation id).
+    /// The request's canonical structural fingerprint (the cache key).
     uint64_t fingerprint = 0;
-    /// The request's trace shell (flight recorder only, nullptr otherwise).
-    /// Shells are lazy: non-null when the request planned (miss/coalesced)
-    /// or was retained at completion — a plain unretained hit carries none,
-    /// because allocating one would cost more than the hit itself. Callers
-    /// that execute the plan re-install it with ScopedTraceContext so exec
-    /// spans land in the same trace, and RecordExecution uses it to promote
-    /// row-capped requests into the retained set.
+    /// The request's id in the tracer: the id its retained entry, if any,
+    /// is filed under (tracer()->FindTrace).
+    uint64_t trace_id = 0;
+    /// The request's trace shell. Shells are lazy: non-null when the
+    /// request was head-sampled, planned (miss/coalesced), or retained at
+    /// completion — a plain unretained hit carries none, because allocating
+    /// one would cost more than the hit itself. Callers that execute the
+    /// plan re-install it with ScopedTraceContext so exec spans land in the
+    /// same trace.
     std::shared_ptr<obs::Trace> trace;
   };
 
@@ -195,19 +184,13 @@ class OptimizerServer {
   enum class Outcome { kHit = 0, kMiss, kCoalesced };
 
   /// Feeds back an executed plan's measured profile: when the execution
-  /// hit the executor's row cap, the query lands in the slow-query log as
-  /// a row_cap event (the "disastrous plan" the learning loop retrains
-  /// on). If the calling thread still carries the request's trace context
-  /// (ScopedTraceContext re-install, see examples/metrics_dump), the
-  /// trace's spans — serve stages plus exec_scan/exec_join — ride along.
+  /// hit the executor's row cap (the "disastrous plan" the learning loop
+  /// retrains on), the request is retained as a capped outcome carrying
+  /// its plan, root rows and execution time. If the caller executed under
+  /// the request's trace (ScopedTraceContext re-install of result.trace),
+  /// its exec_scan/exec_join spans are in the retained trace too.
   void RecordExecution(const Query& query, const OptimizeResult& result,
                        const ExecutionProfile& profile);
-
-  /// Retained slow-query events, oldest first.
-  std::vector<SlowQueryEvent> RecentSlowQueries() const {
-    return slow_log_.Recent();
-  }
-  const SlowQueryLog& slow_query_log() const { return slow_log_; }
 
   const PlanCache& cache() const { return cache_; }
   /// Request latency (µs) of every request served with `outcome`.
@@ -216,11 +199,7 @@ class OptimizerServer {
   }
   obs::RequestTracer* tracer() { return &tracer_; }
   const obs::RequestTracer& tracer() const { return tracer_; }
-  const obs::TraceStore& flight_recorder() const { return flight_store_; }
-  obs::TraceStore* flight_recorder() { return &flight_store_; }
-  /// Enqueue->dequeue wait (µs) of every planning-pool task; recorded only
-  /// when metrics are attached or the flight recorder is on ("armed"), so
-  /// an un-instrumented pool takes no clock reads.
+  /// Enqueue->dequeue wait (µs) of every planning-pool task.
   const obs::Log2Histogram& pool_wait_histogram() const {
     return pool_wait_us_;
   }
@@ -229,7 +208,10 @@ class OptimizerServer {
 
  private:
   struct InFlight {
-    /// All three fields are guarded by the owning server's mu_ (not
+    /// The leader's trace id; coalesced waiters link their traces to it.
+    /// Set before the entry is published, immutable after.
+    uint64_t leader_trace_id = 0;
+    /// The three fields below are guarded by the owning server's mu_ (not
     /// annotatable from a nested struct: the capability expression cannot
     /// name the outer instance). Waiters read result/status only after
     /// observing done == true under mu_.
@@ -258,11 +240,10 @@ class OptimizerServer {
   StatusOr<OptimizeResult> PlanUncached(const Query& query,
                                         uint64_t fingerprint, int64_t version,
                                         bool coalesced);
-  /// `flight_trace` (never null) receives the request's lazily armed
-  /// flight-recorder shell — set the moment the request leaves the pure
-  /// hit path, left null for hits and when the recorder is off.
+  /// Serves `query` for `request`, arming its trace shell (and installing
+  /// it on this thread) the moment the request leaves the pure hit path.
   StatusOr<OptimizeResult> Serve(const Query& query,
-                                 std::shared_ptr<obs::Trace>* flight_trace);
+                                 obs::RequestTracer::Request* request);
 
   const Schema* schema_;
   const CardOracle* oracle_;
@@ -295,8 +276,6 @@ class OptimizerServer {
   /// three is the overall latency distribution (HistogramData::Merge).
   std::array<obs::Log2Histogram, 3> request_us_;
   obs::RequestTracer tracer_;
-  SlowQueryLog slow_log_;
-  obs::TraceStore flight_store_;
   /// Registry attachments (empty when options.metrics == nullptr). Last
   /// member: detaches before any instrument dies.
   std::vector<obs::Registration> registrations_;

@@ -1,10 +1,11 @@
-// Tests for the flight recorder's TraceStore: tail retention by
-// construction (top-K min-heap + floor), the bounded error/capped outcome
-// ring, deterministic reservoir sampling, lazy shell materialization on the
-// hit path, late row-cap promotion, and the JSONL export. Also the
+// Tests for the flight recorder — RequestTracer's tail retention: top-K by
+// construction (min-heap + floor), the bounded error/capped outcome ring,
+// deterministic reservoir sampling, lazy shell materialization on the hit
+// path, late row-cap promotion, the kill switch, the unattributed
+// remainder, and the JSONL export. Also the
 // trace-context edge cases the serving stack depends on: nested
 // ScopedTraceContext restore order, a pool thread re-installing a context
-// while the request completes and the store serializes (the TSan race),
+// while the request completes and the tracer serializes (the TSan race),
 // and a histogram exemplar that dangles after eviction. Runs under
 // `ctest -L obs` (the TSan CI job).
 #include <gtest/gtest.h>
@@ -17,19 +18,16 @@
 #include <thread>
 #include <vector>
 
-#include "src/obs/flight_recorder.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace balsa::obs {
 namespace {
 
-constexpr uint64_t kFlightIdBit = uint64_t{1} << 63;
-
-TraceStoreOptions Opts(int top_k, int reservoir, int max_outcomes,
-                       uint64_t seed = 1) {
-  TraceStoreOptions options;
-  options.enabled = true;
+RequestTracerOptions Opts(int top_k, int reservoir, int max_outcomes,
+                          uint64_t seed = 1) {
+  RequestTracerOptions options;
+  options.sample_every = 0;  // shells only where a test makes them
   options.top_k = top_k;
   options.reservoir_size = reservoir;
   options.max_outcomes = max_outcomes;
@@ -43,6 +41,20 @@ TraceCompletion Comp(double latency_us, const char* outcome = "hit") {
   completion.outcome = outcome;
   completion.query_name = "q";
   return completion;
+}
+
+/// One request from arrival to completion; returns the retained id (0 =
+/// let go).
+uint64_t Serve(RequestTracer* tracer, const TraceCompletion& completion) {
+  RequestTracer::Request request = tracer->Begin();
+  return tracer->Complete(&request, completion);
+}
+
+/// A request whose shell was armed (it left the hit path).
+RequestTracer::Request Armed(RequestTracer* tracer) {
+  RequestTracer::Request request = tracer->Begin();
+  tracer->Arm(&request);
+  return request;
 }
 
 // Minimal JSON syntax check: quotes pair up (with escapes) and braces /
@@ -71,104 +83,82 @@ bool JsonParses(const std::string& s) {
   return depth == 0 && !in_string && !s.empty() && s.front() == '{';
 }
 
-TEST(TraceStoreTest, DisabledStoreIgnoresCompletions) {
-  TraceStore store;  // enabled defaults to false
-  EXPECT_EQ(store.OnComplete(nullptr, Comp(1e6, "miss")), 0u);
-  store.PromoteCapped(nullptr, Comp(1e6, "miss"));
-  EXPECT_TRUE(store.Retained().empty());
-  EXPECT_EQ(store.completions(), 0);
-}
-
-TEST(TraceStoreTest, TopKRetainsTheSlowestByConstruction) {
-  TraceStore store(Opts(/*top_k=*/4, /*reservoir=*/0, /*max_outcomes=*/0));
+TEST(FlightRecorderTest, TopKRetainsTheSlowestByConstruction) {
+  RequestTracer tracer(Opts(/*top_k=*/4, /*reservoir=*/0, /*max_outcomes=*/0));
   // 1..100 in a scrambled (but deterministic) order: the heap must end up
   // holding exactly {97, 98, 99, 100} regardless of arrival order.
   for (int i = 0; i < 100; ++i) {
     const double latency = static_cast<double>((i * 37) % 100 + 1);
-    store.OnComplete(nullptr, Comp(latency, "miss"));
+    Serve(&tracer, Comp(latency, "miss"));
   }
   std::multiset<double> kept;
-  for (const RetainedTrace& entry : store.Retained()) {
+  for (const RetainedTrace& entry : tracer.Retained()) {
     EXPECT_EQ(entry.reason, RetainReason::kTopK);
     kept.insert(entry.latency_us);
   }
   EXPECT_EQ(kept, (std::multiset<double>{97, 98, 99, 100}));
 
   RetainedTrace top;
-  ASSERT_TRUE(store.MaxRetained(&top));
+  ASSERT_TRUE(tracer.MaxRetained(&top));
   EXPECT_EQ(top.latency_us, 100);
 
-  const TraceStore::Stats stats = store.stats();
-  EXPECT_EQ(stats.completions, 100);
+  const RequestTracer::Stats stats = tracer.stats();
+  EXPECT_EQ(stats.requests, 100);
   EXPECT_EQ(stats.retained_top_k, 4);
   EXPECT_GT(stats.evicted, 0);
 }
 
-TEST(TraceStoreTest, LazyShellMaterializedOnlyWhenRetained) {
-  TraceStore store(Opts(/*top_k=*/2, /*reservoir=*/0, /*max_outcomes=*/0));
+TEST(FlightRecorderTest, LazyShellMaterializedOnlyWhenRetained) {
+  RequestTracer tracer(Opts(/*top_k=*/2, /*reservoir=*/0, /*max_outcomes=*/0));
   // A null-trace (hit-path) completion that wins a top-K slot gets a
   // span-less shell materialized at admission.
-  const uint64_t id = store.OnComplete(nullptr, Comp(100));
+  const uint64_t id = Serve(&tracer, Comp(100));
   ASSERT_NE(id, 0u);
   RetainedTrace entry;
-  ASSERT_TRUE(store.FindTrace(id, &entry));
+  ASSERT_TRUE(tracer.FindTrace(id, &entry));
   ASSERT_NE(entry.trace, nullptr);
   EXPECT_EQ(entry.trace->id(), id);
   EXPECT_TRUE(entry.trace->spans().empty());
 
   // Fill the heap past it; a sub-floor completion is let go without ever
   // allocating (id 0 is the "no shell, no retention" signal).
-  store.OnComplete(nullptr, Comp(200));
-  store.OnComplete(nullptr, Comp(300));
-  EXPECT_EQ(store.OnComplete(nullptr, Comp(50)), 0u);
-  EXPECT_EQ(store.Retained().size(), 2u);
-  EXPECT_FALSE(store.FindTrace(id, &entry));  // evicted by 200/300
+  Serve(&tracer, Comp(200));
+  Serve(&tracer, Comp(300));
+  EXPECT_EQ(Serve(&tracer, Comp(50)), 0u);
+  EXPECT_EQ(tracer.Retained().size(), 2u);
+  EXPECT_FALSE(tracer.FindTrace(id, &entry));  // evicted by 200/300
 }
 
-TEST(TraceStoreTest, FlightIdsNeverCollideWithTracerIds) {
-  TraceStore store(Opts(4, 0, 0));
-  EXPECT_NE(store.StartTrace()->id() & kFlightIdBit, 0u);
-  const uint64_t materialized = store.OnComplete(nullptr, Comp(10));
-  EXPECT_NE(materialized & kFlightIdBit, 0u);
-
-  RequestTracerOptions tracer_options;
-  tracer_options.sample_every = 1;
-  RequestTracer tracer(tracer_options);
-  std::shared_ptr<Trace> sampled = tracer.MaybeStartTrace();
-  ASSERT_NE(sampled, nullptr);
-  EXPECT_EQ(sampled->id() & kFlightIdBit, 0u);
-}
-
-TEST(TraceStoreTest, OutcomeRingIsBoundedOldestEvicted) {
-  TraceStore store(Opts(/*top_k=*/1, /*reservoir=*/0, /*max_outcomes=*/3));
+TEST(FlightRecorderTest, OutcomeRingIsBoundedOldestEvicted) {
+  RequestTracer tracer(Opts(/*top_k=*/1, /*reservoir=*/0, /*max_outcomes=*/3));
   for (int i = 0; i < 5; ++i) {
     TraceCompletion completion = Comp(1.0, "error");
     completion.error = true;
-    EXPECT_NE(store.OnComplete(nullptr, completion), 0u);
+    EXPECT_NE(Serve(&tracer, completion), 0u);
   }
   std::multiset<uint64_t> indices;
-  for (const RetainedTrace& entry : store.Retained()) {
+  for (const RetainedTrace& entry : tracer.Retained()) {
     EXPECT_EQ(entry.reason, RetainReason::kOutcome);
     EXPECT_TRUE(entry.error);
-    indices.insert(entry.completion_index);
+    indices.insert(entry.trace_id / kThreadStripes);  // arrival index
   }
   // The three newest completions survive; 1 and 2 were pushed out.
   EXPECT_EQ(indices, (std::multiset<uint64_t>{3, 4, 5}));
-  EXPECT_GE(store.stats().evicted, 2);
+  EXPECT_GE(tracer.stats().evicted, 2);
 }
 
-TEST(TraceStoreTest, ReservoirIsDeterministicInSeedAndIndex) {
-  // Two stores fed the identical completion stream retain the identical
-  // reservoir — the coin flip is a pure function of (seed, normal index).
+TEST(FlightRecorderTest, ReservoirIsDeterministicInSeedAndIndex) {
+  // Two tracers fed the identical request stream retain the identical
+  // reservoir — the coin flip is a pure function of (seed, request id).
   auto run = [](uint64_t seed) {
-    TraceStore store(Opts(/*top_k=*/1, /*reservoir=*/4, /*max_outcomes=*/0,
+    RequestTracer tracer(Opts(/*top_k=*/1, /*reservoir=*/4, /*max_outcomes=*/0,
                           seed));
-    store.OnComplete(nullptr, Comp(1000, "miss"));  // fills the heap
-    for (int i = 0; i < 200; ++i) store.OnComplete(nullptr, Comp(1.0));
+    Serve(&tracer, Comp(1000, "miss"));  // fills the heap
+    for (int i = 0; i < 200; ++i) Serve(&tracer, Comp(1.0));
     std::multiset<uint64_t> indices;
-    for (const RetainedTrace& entry : store.Retained()) {
+    for (const RetainedTrace& entry : tracer.Retained()) {
       if (entry.reason == RetainReason::kReservoir) {
-        indices.insert(entry.completion_index);
+        indices.insert(entry.trace_id / kThreadStripes);
       }
     }
     return indices;
@@ -179,53 +169,76 @@ TEST(TraceStoreTest, ReservoirIsDeterministicInSeedAndIndex) {
   EXPECT_NE(first, run(8));
 }
 
-TEST(TraceStoreTest, PromoteCappedMarksRetainedEntryInPlace) {
-  TraceStore store(Opts(/*top_k=*/2, /*reservoir=*/0, /*max_outcomes=*/4));
-  std::shared_ptr<Trace> trace = store.StartTrace();
-  const TraceCompletion completion = Comp(500, "miss");
-  ASSERT_EQ(store.OnComplete(trace, completion), trace->id());
+TEST(FlightRecorderTest, PromoteCappedMovesRetainedEntryToOutcomes) {
+  RequestTracer tracer(Opts(/*top_k=*/2, /*reservoir=*/0, /*max_outcomes=*/4));
+  RequestTracer::Request request = Armed(&tracer);
+  TraceCompletion completion = Comp(500, "miss");
+  ASSERT_EQ(tracer.Complete(&request, completion), request.id);
 
-  store.PromoteCapped(trace, completion);
+  completion.plan_summary = "HashJoin(SeqScan(a), SeqScan(b))";
+  completion.rows_out = 8;
+  completion.exec_us = 42;
+  tracer.PromoteCapped(&request, completion);
   RetainedTrace entry;
-  ASSERT_TRUE(store.FindTrace(trace->id(), &entry));
+  ASSERT_TRUE(tracer.FindTrace(request.id, &entry));
   EXPECT_TRUE(entry.capped);
-  // Marked where it already lives — no duplicate in the outcome ring.
-  EXPECT_EQ(store.stats().retained_outcome, 0);
-  EXPECT_EQ(store.Retained().size(), 1u);
+  EXPECT_EQ(entry.reason, RetainReason::kOutcome);
+  EXPECT_EQ(entry.trace, request.trace);  // the same shell, spans and all
+  EXPECT_EQ(entry.plan_summary, completion.plan_summary);
+  EXPECT_EQ(entry.rows_out, 8);
+  EXPECT_EQ(entry.exec_us, 42);
+  // Moved, not copied: slower requests can no longer displace it from the
+  // top-K heap, and it is listed once.
+  EXPECT_EQ(tracer.stats().retained_top_k, 0);
+  EXPECT_EQ(tracer.stats().retained_outcome, 1);
+  EXPECT_EQ(tracer.Retained().size(), 1u);
+  for (int i = 0; i < 4; ++i) Serve(&tracer, Comp(1000 + i, "miss"));
+  ASSERT_TRUE(tracer.FindTrace(request.id, &entry));
+  EXPECT_TRUE(entry.capped);
+
+  // A second promotion updates the outcome entry in place.
+  completion.rows_out = 9;
+  tracer.PromoteCapped(&request, completion);
+  EXPECT_EQ(tracer.stats().retained_outcome, 1);
+  ASSERT_TRUE(tracer.FindTrace(request.id, &entry));
+  EXPECT_EQ(entry.rows_out, 9);
 }
 
-TEST(TraceStoreTest, PromoteCappedMaterializesShellForUnretainedHit) {
-  TraceStore store(Opts(/*top_k=*/1, /*reservoir=*/0, /*max_outcomes=*/4));
-  store.OnComplete(nullptr, Comp(1000, "miss"));  // raises the floor
+TEST(FlightRecorderTest, PromoteCappedMaterializesShellForUnretainedHit) {
+  RequestTracer tracer(Opts(/*top_k=*/1, /*reservoir=*/0, /*max_outcomes=*/4));
+  Serve(&tracer, Comp(1000, "miss"));  // raises the floor
   const TraceCompletion hit = Comp(5);
-  ASSERT_EQ(store.OnComplete(nullptr, hit), 0u);  // let go at completion
+  RequestTracer::Request request = tracer.Begin();
+  ASSERT_EQ(tracer.Complete(&request, hit), 0u);  // let go at completion
+  ASSERT_EQ(request.trace, nullptr);
 
   // The row-cap signal arrives later, from plan execution: the request must
   // end up retained even though the serve-time decision dropped it.
-  store.PromoteCapped(nullptr, hit);
-  const TraceStore::Stats stats = store.stats();
+  tracer.PromoteCapped(&request, hit);
+  const RequestTracer::Stats stats = tracer.stats();
   EXPECT_EQ(stats.retained_outcome, 1);
-  for (const RetainedTrace& entry : store.Retained()) {
+  for (const RetainedTrace& entry : tracer.Retained()) {
     if (entry.reason != RetainReason::kOutcome) continue;
     EXPECT_TRUE(entry.capped);
+    EXPECT_EQ(entry.trace_id, request.id);
     ASSERT_NE(entry.trace, nullptr);
     EXPECT_TRUE(entry.trace->spans().empty());
   }
 }
 
-TEST(TraceStoreTest, JsonlIsSortedByLatencyAndParses) {
-  TraceStore store(Opts(/*top_k=*/4, /*reservoir=*/4, /*max_outcomes=*/4));
-  std::shared_ptr<Trace> with_spans = store.StartTrace();
-  with_spans->AddSpan(TraceStage::kBeamSearch, 1.0, 250.0);
+TEST(FlightRecorderTest, JsonlIsSortedByLatencyAndParses) {
+  RequestTracer tracer(Opts(/*top_k=*/4, /*reservoir=*/4, /*max_outcomes=*/4));
+  RequestTracer::Request with_spans = Armed(&tracer);
+  with_spans.trace->AddSpan(TraceStage::kBeamSearch, 1.0, 250.0);
   TraceCompletion miss = Comp(300, "miss");
   miss.query_name = "q\"needs-escaping\\";
-  store.OnComplete(with_spans, miss);
+  tracer.Complete(&with_spans, miss);
   TraceCompletion error = Comp(40, "error");
   error.error = true;
-  store.OnComplete(nullptr, error);
-  store.OnComplete(nullptr, Comp(120, "hit"));
+  Serve(&tracer, error);
+  Serve(&tracer, Comp(120, "hit"));
 
-  const std::string jsonl = store.ToJsonl();
+  const std::string jsonl = tracer.ToJsonl();
   std::istringstream lines(jsonl);
   std::string line;
   double previous = 1e18;
@@ -233,6 +246,8 @@ TEST(TraceStoreTest, JsonlIsSortedByLatencyAndParses) {
   bool saw_spans = false;
   while (std::getline(lines, line)) {
     EXPECT_TRUE(JsonParses(line)) << line;
+    EXPECT_NE(line.find("\"unattributed_us\":"), std::string::npos);
+    EXPECT_NE(line.find("\"leader_trace_id\":"), std::string::npos);
     const size_t at = line.find("\"latency_us\":");
     ASSERT_NE(at, std::string::npos);
     const double latency = std::strtod(line.c_str() + at + 13, nullptr);
@@ -247,29 +262,79 @@ TEST(TraceStoreTest, JsonlIsSortedByLatencyAndParses) {
   EXPECT_TRUE(saw_spans);
 }
 
-TEST(TraceStoreTest, ExemplarDanglesGracefullyAfterEviction) {
-  TraceStore store(Opts(/*top_k=*/1, /*reservoir=*/0, /*max_outcomes=*/0));
+TEST(FlightRecorderTest, ExemplarDanglesGracefullyAfterEviction) {
+  RequestTracer tracer(Opts(/*top_k=*/1, /*reservoir=*/0, /*max_outcomes=*/0));
   Log2Histogram histogram;
-  const uint64_t id = store.OnComplete(nullptr, Comp(100, "miss"));
+  const uint64_t id = Serve(&tracer, Comp(100, "miss"));
   ASSERT_NE(id, 0u);
   histogram.Record(100, id);
 
   // A slower completion displaces the exemplar's trace from the heap. The
   // bucket tag survives; resolution reports "gone" instead of crashing or
   // returning someone else's trace.
-  store.OnComplete(nullptr, Comp(200, "miss"));
+  Serve(&tracer, Comp(200, "miss"));
   const HistogramData data = histogram.Snapshot();
   EXPECT_EQ(data.PercentileExemplar(99), id);
   RetainedTrace entry;
-  EXPECT_FALSE(store.FindTrace(id, &entry));
+  EXPECT_FALSE(tracer.FindTrace(id, &entry));
+}
+
+TEST(FlightRecorderTest, KillSwitchRetainsNothing) {
+  RequestTracerOptions options = Opts(/*top_k=*/4, /*reservoir=*/4,
+                                      /*max_outcomes=*/4);
+  options.sample_every = 1;
+  RequestTracer tracer(options);
+  struct EnabledGuard {
+    ~EnabledGuard() { SetEnabled(true); }
+  } guard;
+  SetEnabled(false);
+  RequestTracer::Request request = tracer.Begin();
+  EXPECT_EQ(request.trace, nullptr);  // no head-sampled shell
+  tracer.Arm(&request);
+  EXPECT_EQ(request.trace, nullptr);  // no armed shell
+  TraceCompletion error = Comp(1e6, "error");
+  error.error = true;
+  EXPECT_EQ(tracer.Complete(&request, error), 0u);
+  tracer.PromoteCapped(&request, Comp(1e6, "miss"));
+  EXPECT_EQ(Serve(&tracer, Comp(1e6, "miss")), 0u);
+  SetEnabled(true);
+  EXPECT_TRUE(tracer.Retained().empty());
+  EXPECT_EQ(tracer.traces_started(), 0);
+  // Arrivals still count (they are the tracer's own stats, like counters).
+  EXPECT_EQ(tracer.requests(), 2);
+}
+
+TEST(FlightRecorderTest, UnattributedIsLatencyMinusClippedSpanUnion) {
+  // A hand-built 100us request: nested spans (inference inside
+  // beam_search) count once, a gap stays unattributed, a span that starts
+  // before the trace is clipped at 0, and an exec span that runs past the
+  // response (row-cap execution) is clipped at the latency.
+  auto trace = std::make_shared<Trace>(8);
+  trace->AddSpan(TraceStage::kFingerprint, -5.0, 10.0);  // covers [0, 5]
+  trace->AddSpan(TraceStage::kBeamSearch, 20.0, 40.0);   // [20, 60]
+  trace->AddSpan(TraceStage::kInference, 30.0, 10.0);    // inside it
+  trace->AddSpan(TraceStage::kAdmit, 55.0, 15.0);        // overlaps: to 70
+  trace->AddSpan(TraceStage::kExecScan, 90.0, 500.0);    // clipped to 100
+  RetainedTrace entry;
+  entry.trace = trace;
+  entry.latency_us = 100;
+  // Covered: [0,5] + [20,70] + [90,100] = 65us.
+  EXPECT_DOUBLE_EQ(trace->SpanUnionMicros(100), 65.0);
+  EXPECT_DOUBLE_EQ(entry.unattributed_us(), 35.0);
+  // Unclipped, the exec span alone outruns the request.
+  EXPECT_DOUBLE_EQ(trace->SpanUnionMicros(), 5.0 + 50.0 + 500.0);
+
+  RetainedTrace spanless;
+  spanless.latency_us = 12;
+  EXPECT_DOUBLE_EQ(spanless.unattributed_us(), 12.0);
 }
 
 TEST(TraceContextTest, NestedScopesRestoreInOrder) {
   RequestTracerOptions options;
   options.sample_every = 1;
   RequestTracer tracer(options);
-  std::shared_ptr<Trace> outer = tracer.MaybeStartTrace();
-  std::shared_ptr<Trace> inner = tracer.MaybeStartTrace();
+  std::shared_ptr<Trace> outer = tracer.Begin().trace;
+  std::shared_ptr<Trace> inner = tracer.Begin().trace;
   ASSERT_NE(outer, nullptr);
   ASSERT_NE(inner, nullptr);
 
@@ -296,15 +361,15 @@ TEST(TraceContextTest, InactiveContextInstallsNothing) {
 }
 
 TEST(TraceContextTest, PoolThreadSpansRaceCompletionAndSerialization) {
-  // The serving shape: the request thread completes (and the store
+  // The serving shape: the request thread completes (and the tracer
   // serializes) while a pool thread is still appending spans to the same
   // trace through a re-installed context. Trace is append-only and
   // internally synchronized, so every span must land and every JSONL
   // render must stay well-formed. TSan is the real assertion here.
   constexpr int kSpans = 200;
-  TraceStore store(Opts(/*top_k=*/4, /*reservoir=*/0, /*max_outcomes=*/0));
-  RequestTracer tracer;
-  std::shared_ptr<Trace> trace = store.StartTrace();
+  RequestTracer tracer(Opts(/*top_k=*/4, /*reservoir=*/0, /*max_outcomes=*/0));
+  RequestTracer::Request request = Armed(&tracer);
+  std::shared_ptr<Trace> trace = request.trace;
   const TraceContext context{&tracer, trace};
 
   std::thread pool_thread([&] {
@@ -313,17 +378,17 @@ TEST(TraceContextTest, PoolThreadSpansRaceCompletionAndSerialization) {
       SpanTimer span(TraceStage::kInference);
     }
   });
-  store.OnComplete(trace, Comp(750, "miss"));
+  tracer.Complete(&request, Comp(750, "miss"));
   for (int i = 0; i < 50; ++i) {
-    const std::string jsonl = store.ToJsonl();
+    const std::string jsonl = tracer.ToJsonl();
     EXPECT_FALSE(jsonl.empty());
   }
   pool_thread.join();
 
   RetainedTrace entry;
-  ASSERT_TRUE(store.FindTrace(trace->id(), &entry));
+  ASSERT_TRUE(tracer.FindTrace(trace->id(), &entry));
   EXPECT_EQ(entry.trace->spans().size(), static_cast<size_t>(kSpans));
-  std::istringstream lines(store.ToJsonl());
+  std::istringstream lines(tracer.ToJsonl());
   std::string line;
   while (std::getline(lines, line)) EXPECT_TRUE(JsonParses(line)) << line;
 }

@@ -1,8 +1,7 @@
 // Introspection end-to-end: EXPLAIN ANALYZE actuals are bitwise-equal to
-// per-node Execute results, profiling never perturbs execution, the
-// slow-query log captures latency / uncoalesced-miss / row-cap events with
-// the request's own stage spans, and the statusz page renders from live
-// serving state.
+// per-node Execute results, profiling never perturbs execution, a
+// row-capped execution is retained with its plan and the request's own
+// stage spans, and the statusz page renders from live serving state.
 #include "src/introspect/explain.h"
 
 #include <memory>
@@ -213,9 +212,9 @@ TEST(QErrorTest, ClampsAndSymmetric) {
 
 // --- Serving-side introspection -----------------------------------------
 
-class SlowQueryTest : public ::testing::Test {
+class ServingIntrospectTest : public ::testing::Test {
  protected:
-  SlowQueryTest()
+  ServingIntrospectTest()
       : fixture_(testing::MakeStarFixture()),
         query_(testing::MakeStarQuery(fixture_.schema())),
         featurizer_(&fixture_.schema(), fixture_.estimator.get()) {
@@ -264,53 +263,12 @@ class SlowQueryTest : public ::testing::Test {
   std::unique_ptr<ValueNetwork> network_;
 };
 
-TEST_F(SlowQueryTest, UncoalescedMissesAreLoggedWithStructure) {
+TEST_F(ServingIntrospectTest, ZipfReplayWithInjectedRowCapPlanIsCaptured) {
   OptimizerServerOptions options;
-  options.slow_query.capacity = 16;
-  options.slow_query.log_uncoalesced_misses = true;
-  auto server = MakeServer(options);
-
-  ASSERT_TRUE(server->Optimize(query_).ok());  // miss -> logged
-  ASSERT_TRUE(server->Optimize(query_).ok());  // hit -> not logged
-
-  auto events = server->RecentSlowQueries();
-  ASSERT_EQ(events.size(), 1u);
-  const SlowQueryEvent& e = events[0];
-  EXPECT_EQ(e.cause, SlowQueryCause::kUncoalescedMiss);
-  EXPECT_EQ(e.outcome, "miss");
-  EXPECT_EQ(e.query_name, "star4");
-  EXPECT_NE(e.fingerprint, 0u);
-  EXPECT_GT(e.serve_micros, 0);
-  EXPECT_NE(e.plan_summary.find("("), std::string::npos);
-  EXPECT_EQ(server->slow_query_log().recorded(), 1);
-}
-
-TEST_F(SlowQueryTest, LatencyThresholdZeroDisablesLatencyTrigger) {
-  OptimizerServerOptions options;
-  options.slow_query.capacity = 16;  // row-cap feedback stays on
-  auto server = MakeServer(options);
-  ASSERT_TRUE(server->Optimize(query_).ok());
-  ASSERT_TRUE(server->Optimize(query_).ok());
-  EXPECT_TRUE(server->RecentSlowQueries().empty());
-
-  // capacity 0 disables the log outright.
-  OptimizerServerOptions off;
-  off.slow_query.capacity = 0;
-  off.slow_query.log_uncoalesced_misses = true;
-  auto disabled = MakeServer(off);
-  ASSERT_TRUE(disabled->Optimize(query_).ok());
-  EXPECT_TRUE(disabled->RecentSlowQueries().empty());
-  EXPECT_FALSE(disabled->slow_query_log().enabled());
-}
-
-TEST_F(SlowQueryTest, ZipfReplayWithInjectedRowCapPlanIsCaptured) {
-  OptimizerServerOptions options;
-  options.slow_query.capacity = 32;
   options.trace.sample_every = 1;
   auto server = MakeServer(options);
 
-  // A short Zipf replay: background traffic none of which triggers the log
-  // (the latency threshold is off, misses are not logged).
+  // A short Zipf replay: background traffic, none of it row-capped.
   std::vector<Query> variants = Variants(6);
   std::vector<const Query*> workload;
   for (const Query& q : variants) workload.push_back(&q);
@@ -321,16 +279,16 @@ TEST_F(SlowQueryTest, ZipfReplayWithInjectedRowCapPlanIsCaptured) {
   replay.seed = 5;
   auto report = ReplayWorkload(server.get(), workload, replay);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(server->RecentSlowQueries().empty());
+  for (const obs::RetainedTrace& entry : server->tracer()->Retained()) {
+    EXPECT_FALSE(entry.capped);
+  }
 
   // The injected disaster: serve the 4-relation star query, then execute
   // its plan under the request's own trace with a row cap the join
   // pipeline must hit, and report the profile back.
   auto served = server->Optimize(query_);
   ASSERT_TRUE(served.ok());
-  auto traces = server->tracer()->RecentTraces();
-  ASSERT_FALSE(traces.empty());
-  std::shared_ptr<obs::Trace> trace = traces.back();
+  ASSERT_NE(served->trace, nullptr);
 
   ExecutorOptions exec_options;
   exec_options.profile = true;
@@ -338,45 +296,62 @@ TEST_F(SlowQueryTest, ZipfReplayWithInjectedRowCapPlanIsCaptured) {
   Executor executor(fixture_.db.get(), exec_options);
   ExecutionProfile profile;
   {
-    obs::ScopedTraceContext scope(server->tracer(), trace);
+    obs::ScopedTraceContext scope(server->tracer(), served->trace);
     auto executed = executor.ExecuteProfiled(query_, served->plan, &profile);
     ASSERT_TRUE(executed.ok());
     ASSERT_TRUE(profile.AnyCapped());
-    server->RecordExecution(query_, *served, profile);
   }
+  server->RecordExecution(query_, *served, profile);
 
-  auto events = server->RecentSlowQueries();
-  ASSERT_EQ(events.size(), 1u);
-  const SlowQueryEvent& e = events[0];
-  EXPECT_EQ(e.cause, SlowQueryCause::kRowCap);
+  std::vector<obs::RetainedTrace> capped;
+  for (const obs::RetainedTrace& entry : server->tracer()->Retained()) {
+    if (entry.capped) capped.push_back(entry);
+  }
+  ASSERT_EQ(capped.size(), 1u);
+  const obs::RetainedTrace& e = capped[0];
+  EXPECT_EQ(e.trace_id, served->trace_id);
   EXPECT_EQ(e.query_name, "star4");
-  EXPECT_TRUE(e.capped);
-  EXPECT_GT(e.exec_micros, 0);
+  EXPECT_EQ(e.fingerprint, served->fingerprint);
+  EXPECT_EQ(e.stats_version, served->stats_version);
+  EXPECT_EQ(e.data_epoch, served->data_epoch);
+  EXPECT_EQ(e.plan_summary, served->plan.ToString(query_));
+  EXPECT_NE(e.plan_summary.find("("), std::string::npos);
+  EXPECT_GT(e.exec_us, 0);
 
-  // The event carries the request's spans: serving stages plus the
-  // executor's, at least 4 distinct.
+  // The retained trace carries the request's spans: serving stages plus
+  // the executor's, at least 4 distinct.
+  ASSERT_NE(e.trace, nullptr);
+  EXPECT_TRUE(e.trace->HasStage(obs::TraceStage::kFingerprint));
+  EXPECT_TRUE(e.trace->HasStage(obs::TraceStage::kExecScan));
   std::set<obs::TraceStage> stages;
-  for (const obs::TraceSpan& span : e.spans) stages.insert(span.stage);
-  EXPECT_GE(stages.size(), 4u) << "spans " << e.spans.size();
-  EXPECT_TRUE(stages.count(obs::TraceStage::kFingerprint) > 0);
-  EXPECT_TRUE(stages.count(obs::TraceStage::kExecScan) > 0);
+  for (const obs::TraceSpan& span : e.trace->spans()) stages.insert(span.stage);
+  EXPECT_GE(stages.size(), 4u);
 
-  // The JSONL export is one parseable object per line.
-  const std::string jsonl = server->slow_query_log().ToJsonl();
+  // The JSONL export is one parseable object per line, the capped entry
+  // with its plan and execution numbers.
+  const std::string jsonl = server->tracer()->ToJsonl();
   ASSERT_FALSE(jsonl.empty());
-  const std::string line = jsonl.substr(0, jsonl.find('\n'));
-  EXPECT_TRUE(JsonParses(line)) << line;
-  EXPECT_NE(line.find("\"cause\":\"row_cap\""), std::string::npos);
-  EXPECT_NE(line.find("\"spans\":["), std::string::npos);
+  bool saw_capped = false;
+  size_t begin = 0;
+  while (begin < jsonl.size()) {
+    const size_t end = jsonl.find('\n', begin);
+    const std::string line = jsonl.substr(begin, end - begin);
+    begin = end + 1;
+    EXPECT_TRUE(JsonParses(line)) << line;
+    if (line.find("\"capped\":true") == std::string::npos) continue;
+    saw_capped = true;
+    EXPECT_NE(line.find("\"plan\":\""), std::string::npos);
+    EXPECT_NE(line.find("\"exec_us\":"), std::string::npos);
+    EXPECT_NE(line.find("\"stage\":\"exec_scan\""), std::string::npos);
+  }
+  EXPECT_TRUE(saw_capped);
 }
 
-TEST_F(SlowQueryTest, StatuszRendersFromLiveServingState) {
+TEST_F(ServingIntrospectTest, StatuszRendersFromLiveServingState) {
   obs::MetricsRegistry registry;
   OptimizerServerOptions options;
   options.metrics = &registry;
   options.trace.sample_every = 1;
-  options.slow_query.capacity = 8;
-  options.slow_query.log_uncoalesced_misses = true;
   auto server = MakeServer(options);
   ASSERT_TRUE(server->Optimize(query_).ok());
   ASSERT_TRUE(server->Optimize(query_).ok());
@@ -393,13 +368,17 @@ TEST_F(SlowQueryTest, StatuszRendersFromLiveServingState) {
   const std::string text = introspect::StatuszText(sources);
   EXPECT_NE(text.find("== statusz =="), std::string::npos);
   EXPECT_NE(text.find("serving: 3 requests"), std::string::npos);
+  EXPECT_NE(text.find("flight recorder: 3 requests"), std::string::npos);
   EXPECT_NE(text.find("recent slow queries"), std::string::npos);
   EXPECT_NE(text.find("star4"), std::string::npos);
+  EXPECT_NE(text.find("unattributed"), std::string::npos);
 
   const std::string json = introspect::StatuszJson(sources);
   EXPECT_TRUE(JsonParses(json)) << json;
   EXPECT_NE(json.find("\"requests\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"recent_slow_queries\":["), std::string::npos);
+  EXPECT_NE(json.find("\"flight_recorder\":{"), std::string::npos);
+  EXPECT_NE(json.find("\"recent_slow_queries\":[{"), std::string::npos);
+  EXPECT_NE(json.find("\"unattributed_us\":"), std::string::npos);
 
   // Statusz degrades gracefully to a bare registry: no sampler, no server.
   introspect::StatuszSources bare;

@@ -278,60 +278,56 @@ TEST(KillSwitchTest, DisablesHistogramRecordingAndTraceSampling) {
   SetEnabled(false);
   hist.Record(5);
   EXPECT_EQ(hist.Count(), 0);
-  EXPECT_EQ(tracer.MaybeStartTrace(), nullptr);
+  EXPECT_EQ(tracer.Begin().trace, nullptr);
   EXPECT_EQ(tracer.traces_started(), 0);
 
   SetEnabled(true);
   hist.Record(5);
   EXPECT_EQ(hist.Count(), 1);
-  EXPECT_NE(tracer.MaybeStartTrace(), nullptr);
+  EXPECT_NE(tracer.Begin().trace, nullptr);
 }
 
-TEST(RequestTracerTest, SamplingIsDeterministicUnderFixedSeed) {
+TEST(RequestTracerTest, SamplingIsDeterministicInArrivalOrder) {
   RequestTracerOptions options;
   options.sample_every = 4;
-  options.seed = 2;
-  options.max_traces = 1024;
 
-  // Two tracers with identical options sample exactly the same request
-  // indices: on one thread, sampling is a pure function of (arrival index,
-  // seed). Trace ids encode (arrival k, stripe) as k * kThreadStripes +
-  // stripe; id / kThreadStripes recovers the arrival index.
+  // Two tracers sample exactly the same request indices: on one thread,
+  // sampling is a pure function of the arrival index. Request ids encode
+  // (arrival k, stripe) as k * kThreadStripes + stripe; id /
+  // kThreadStripes recovers the 1-based arrival index.
   RequestTracer a(options), b(options);
   std::vector<uint64_t> sampled_a, sampled_b;
   for (int i = 0; i < 64; ++i) {
-    if (auto trace = a.MaybeStartTrace()) sampled_a.push_back(trace->id());
-    if (auto trace = b.MaybeStartTrace()) sampled_b.push_back(trace->id());
+    const RequestTracer::Request ra = a.Begin();
+    const RequestTracer::Request rb = b.Begin();
+    EXPECT_EQ(ra.id / kThreadStripes, static_cast<uint64_t>(i + 1));
+    if (ra.trace != nullptr) {
+      EXPECT_EQ(ra.trace->id(), ra.id);
+      sampled_a.push_back(ra.id);
+    }
+    if (rb.trace != nullptr) sampled_b.push_back(rb.id);
   }
   EXPECT_EQ(sampled_a, sampled_b);
   ASSERT_EQ(sampled_a.size(), 16u);
   for (uint64_t id : sampled_a) {
-    EXPECT_EQ((id / kThreadStripes + options.seed) % 4, 0u) << id;
+    EXPECT_EQ((id / kThreadStripes - 1) % 4, 0u) << id;
   }
-  EXPECT_EQ(a.requests_seen(), 64);
+  EXPECT_EQ(a.requests(), 64);
   EXPECT_EQ(a.traces_started(), 16);
 }
 
-TEST(RequestTracerTest, SampleEveryZeroDisablesTracing) {
+TEST(RequestTracerTest, SampleEveryZeroStartsNoShellAtArrival) {
   RequestTracerOptions options;
   options.sample_every = 0;
   RequestTracer tracer(options);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(tracer.MaybeStartTrace(), nullptr);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(tracer.Begin().trace, nullptr);
   EXPECT_EQ(tracer.traces_started(), 0);
-  EXPECT_TRUE(tracer.RecentTraces().empty());
-}
-
-TEST(RequestTracerTest, RetainedTraceRingIsBounded) {
-  RequestTracerOptions options;
-  options.sample_every = 1;
-  options.max_traces = 4;
-  RequestTracer tracer(options);
-  for (int i = 0; i < 10; ++i) tracer.MaybeStartTrace();
-  const auto traces = tracer.RecentTraces();
-  ASSERT_EQ(traces.size(), 4u);
-  // Arrival indices (id / kThreadStripes) 6..9 survive: oldest evicted.
-  EXPECT_EQ(traces.front()->id() / kThreadStripes, 6u);
-  EXPECT_EQ(traces.back()->id() / kThreadStripes, 9u);
+  // Leaving the hit path still arms a shell: misses are always traced.
+  RequestTracer::Request miss = tracer.Begin();
+  tracer.Arm(&miss);
+  ASSERT_NE(miss.trace, nullptr);
+  EXPECT_EQ(miss.trace->id(), miss.id);
+  EXPECT_EQ(tracer.traces_started(), 1);
 }
 
 TEST(SpanTimerTest, InertWithoutContextRecordsWithOne) {
@@ -343,7 +339,7 @@ TEST(SpanTimerTest, InertWithoutContextRecordsWithOne) {
   { SpanTimer span(TraceStage::kBeamSearch); }
   EXPECT_EQ(tracer.stage_histogram(TraceStage::kBeamSearch).Count(), 0);
 
-  std::shared_ptr<Trace> trace = tracer.MaybeStartTrace();
+  std::shared_ptr<Trace> trace = tracer.Begin().trace;
   ASSERT_NE(trace, nullptr);
   {
     ScopedTraceContext scope(&tracer, trace);
@@ -367,7 +363,7 @@ TEST(SpanTimerTest, ConcurrentSpansOnOneTraceAreAllRecorded) {
   RequestTracerOptions options;
   options.sample_every = 1;
   RequestTracer tracer(options);
-  std::shared_ptr<Trace> trace = tracer.MaybeStartTrace();
+  std::shared_ptr<Trace> trace = tracer.Begin().trace;
   ASSERT_NE(trace, nullptr);
 
   std::vector<std::thread> threads;

@@ -4,6 +4,7 @@
 // thread counts, and a stats bump means stale plans are never served again.
 #include "src/serving/optimizer_server.h"
 
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -309,9 +310,9 @@ TEST_F(OptimizerServerTest, TracedRequestProducesSpansAcrossTheStack) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->cache_hit);
 
-  auto traces = server->tracer()->RecentTraces();
-  ASSERT_EQ(traces.size(), 1u);
-  std::shared_ptr<obs::Trace> trace = traces[0];
+  std::shared_ptr<obs::Trace> trace = result->trace;
+  ASSERT_NE(trace, nullptr);
+  EXPECT_EQ(trace->id(), result->trace_id);
   // A served miss records its serving- and planning-side spans, including
   // the inference calls made from the planning-pool thread (the trace
   // context crossed the pool boundary with the task).
@@ -342,13 +343,120 @@ TEST_F(OptimizerServerTest, TracedRequestProducesSpansAcrossTheStack) {
       server->tracer()->stage_histogram(obs::TraceStage::kExecScan).Count(),
       0);
 
-  // An untraced server (sampling disabled) records nothing.
+  // With head sampling off a miss is still traced, from the moment it
+  // leaves the hit path: planning stages yes, fingerprint/lookup no.
   OptimizerServerOptions untraced = SmallOptions();
   untraced.trace.sample_every = 0;
   auto quiet = MakeServer(untraced);
-  ASSERT_TRUE(quiet->Optimize(query_).ok());
-  EXPECT_TRUE(quiet->tracer()->RecentTraces().empty());
-  EXPECT_EQ(quiet->tracer()->traces_started(), 0);
+  auto miss = quiet->Optimize(query_);
+  ASSERT_TRUE(miss.ok());
+  ASSERT_NE(miss->trace, nullptr);
+  EXPECT_TRUE(miss->trace->HasStage(obs::TraceStage::kBeamSearch));
+  EXPECT_FALSE(miss->trace->HasStage(obs::TraceStage::kFingerprint));
+  EXPECT_EQ(
+      quiet->tracer()->stage_histogram(obs::TraceStage::kFingerprint).Count(),
+      0);
+  EXPECT_EQ(quiet->tracer()->traces_started(), 1);
+}
+
+// Tail retention is on by default: with no tracing options set, the
+// slowest request of a replay is retained by construction — its recorded
+// latency is the very serve_micros value the replay's max is taken over.
+TEST_F(OptimizerServerTest, DefaultServerRetainsTheSlowestRequest) {
+  auto server = MakeServer(SmallOptions());
+  std::vector<Query> variants;
+  for (int64_t region = 0; region < 4; ++region) {
+    variants.push_back(StarVariant(region));
+  }
+  std::vector<const Query*> queries;
+  for (const Query& q : variants) queries.push_back(&q);
+  ReplayOptions replay;
+  replay.num_clients = 4;
+  replay.requests_per_client = 50;
+  auto report = ReplayWorkload(server.get(), queries, replay);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  obs::RetainedTrace top;
+  ASSERT_TRUE(server->tracer()->MaxRetained(&top));
+  EXPECT_EQ(top.latency_us, report->max_us);
+  EXPECT_EQ(server->tracer()->stats().requests, report->requests);
+}
+
+// The kill switch turns retention off with everything else: no shells, no
+// spans, nothing retained, no exemplars.
+TEST_F(OptimizerServerTest, KillSwitchRetainsNothing) {
+  struct EnabledGuard {
+    ~EnabledGuard() { obs::SetEnabled(true); }
+  } guard;
+  OptimizerServerOptions options = SmallOptions();
+  options.trace.sample_every = 1;
+  auto server = MakeServer(options);
+  obs::SetEnabled(false);
+  auto miss = server->Optimize(query_);
+  auto hit = server->Optimize(query_);
+  ASSERT_TRUE(miss.ok() && hit.ok());
+  EXPECT_FALSE(miss->cache_hit);
+  EXPECT_EQ(miss->trace, nullptr);
+  EXPECT_EQ(hit->trace, nullptr);
+  EXPECT_TRUE(server->tracer()->Retained().empty());
+  EXPECT_EQ(server->tracer()->traces_started(), 0);
+  EXPECT_EQ(
+      server->tracer()->stage_histogram(obs::TraceStage::kBeamSearch).Count(),
+      0);
+}
+
+// A coalesced request's retained trace names the leader whose planning
+// call it waited on, and that id resolves to the leader's retained trace —
+// the one carrying the beam search. The herd is the one above; top_k is
+// sized past every request so the leaders are retained.
+TEST_F(OptimizerServerTest, CoalescedRequestLinksToItsLeadersTrace) {
+  OptimizerServerOptions options = SmallOptions();
+  options.trace.top_k = 1024;
+  auto server = MakeServer(options);
+  constexpr int kThreads = 8;
+  constexpr int kRequestsPerThread = 5;
+  // Whether a herd member joins the in-flight call or arrives after the
+  // plan is cached depends on scheduling, so herd on fresh fingerprints
+  // until one coalesces.
+  for (int64_t region = 0; region < 20 && server->stats().coalesced == 0;
+       ++region) {
+    const Query variant = StarVariant(region);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (int r = 0; r < kRequestsPerThread; ++r) {
+          auto result = server->Optimize(variant);
+          BALSA_CHECK(result.ok(), result.status().ToString());
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  ASSERT_GT(server->stats().coalesced, 0) << "no herd coalesced";
+
+  int linked = 0;
+  for (const obs::RetainedTrace& entry : server->tracer()->Retained()) {
+    if (entry.outcome != "coalesced") {
+      EXPECT_EQ(entry.leader_trace_id, 0u) << entry.outcome;
+      continue;
+    }
+    ASSERT_NE(entry.leader_trace_id, 0u);
+    EXPECT_TRUE(entry.trace->HasStage(obs::TraceStage::kCoalesceWait));
+    obs::RetainedTrace leader;
+    ASSERT_TRUE(server->tracer()->FindTrace(entry.leader_trace_id, &leader));
+    EXPECT_EQ(leader.outcome, "miss");
+    EXPECT_EQ(leader.fingerprint, entry.fingerprint);
+    EXPECT_TRUE(leader.trace->HasStage(obs::TraceStage::kBeamSearch));
+    const std::string json = obs::RequestTracer::RetainedJson(entry);
+    EXPECT_NE(json.find("\"leader_trace_id\":" +
+                        std::to_string(entry.leader_trace_id)),
+              std::string::npos);
+    ++linked;
+  }
+  EXPECT_EQ(linked, server->stats().coalesced);
 }
 
 // The per-outcome latency histograms replace the old single histogram: each
