@@ -38,27 +38,14 @@
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
-// TSan instruments every access, which hits the tight scan loops and the
-// timed append stream alike but not equally; the structural gates (retained
-// bytes, bitwise equality) stay hard and the two timing ratios get slack.
-#if defined(__SANITIZE_THREAD__)
-#define BALSA_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define BALSA_TSAN_BUILD 1
-#endif
-#endif
-
 namespace balsa {
 namespace {
 
-#ifdef BALSA_TSAN_BUILD
-constexpr double kMaxAppendCostRatio = 3.0;
-constexpr double kMinScanRatio = 0.6;
-#else
-constexpr double kMaxAppendCostRatio = 2.0;
-constexpr double kMinScanRatio = 1.0;
-#endif
+// TSan instruments every access, which hits the tight scan loops and the
+// timed append stream alike but not equally; the structural gates (retained
+// bytes, bitwise equality) stay hard and the two timing ratios get slack.
+constexpr double kMaxAppendCostRatio = bench::kTsanBuild ? 3.0 : 2.0;
+constexpr double kMinScanRatio = bench::kTsanBuild ? 0.6 : 1.0;
 
 struct ChunkBenchConfig {
   bool smoke = false;
@@ -73,7 +60,7 @@ struct ChunkBenchConfig {
   /// Scan corpus and repetitions (best-of to shed scheduler noise).
   int64_t scan_rows = 4'000'000;
   int scan_repeats = 5;
-  int scan_threads = 4;
+  int pool_threads = 4;
 };
 
 double Seconds(std::chrono::steady_clock::time_point start) {
@@ -195,7 +182,7 @@ int Run(const ChunkBenchConfig& config) {
   Database db(BenchSchema());
   Install(&db, config.scan_rows, &rng);
   Snapshot snap = db.GetSnapshot();
-  ThreadPool pool(config.scan_threads);
+  ThreadPool pool(config.pool_threads);
 
   QueryBuilder eq_builder(&db.schema(), "eq");
   auto eq_query = eq_builder.From("chunks", "x")
@@ -341,6 +328,6 @@ int main(int argc, char** argv) {
       config.smoke ? " (smoke)" : "", config.appends_per_run,
       config.append_batch_rows, config.append_repeats,
       static_cast<long long>(config.scan_rows), config.scan_repeats,
-      config.scan_threads);
+      config.pool_threads);
   return Run(config);
 }

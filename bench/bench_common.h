@@ -19,6 +19,21 @@
 
 namespace balsa::bench {
 
+/// True under ThreadSanitizer (GCC defines __SANITIZE_THREAD__, clang
+/// reports the feature). TSan slows instrumented code unevenly, so timing
+/// benches give their ratio gates slack and shrink their workloads there.
+#if defined(__SANITIZE_THREAD__)
+inline constexpr bool kTsanBuild = true;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+inline constexpr bool kTsanBuild = true;
+#else
+inline constexpr bool kTsanBuild = false;
+#endif
+#else
+inline constexpr bool kTsanBuild = false;
+#endif
+
 /// Builds an env for the flags, dying on error (benches are executables).
 inline std::unique_ptr<Env> MustMakeEnv(WorkloadKind kind,
                                         const BenchFlags& flags,

@@ -27,18 +27,6 @@
 namespace balsa {
 namespace {
 
-#if defined(__SANITIZE_THREAD__)
-constexpr bool kTsanBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-constexpr bool kTsanBuild = true;
-#else
-constexpr bool kTsanBuild = false;
-#endif
-#else
-constexpr bool kTsanBuild = false;
-#endif
-
 struct ExplainConfig {
   bool smoke = false;
   double scale = 0.25;
@@ -109,7 +97,7 @@ int Run(const ExplainConfig& config, const BenchFlags& flags) {
   profiled_options.profile = true;
   Executor profiled(unprofiled.snapshot(), profiled_options);
 
-  const double exec_threshold = kTsanBuild ? 0.75 : 0.90;
+  const double exec_threshold = bench::kTsanBuild ? 0.75 : 0.90;
   std::vector<double> exec_plain_rps, exec_prof_rps, exec_ratios;
   double exec_ratio = 0;
   ExecRps(unprofiled, work, 2, false);  // warm both paths
@@ -237,8 +225,8 @@ int main(int argc, char** argv) {
   }
   if (config.smoke) {
     config.scale = 0.03;
-    config.exec_iters = kTsanBuild ? 5 : 15;
-    config.rounds = kTsanBuild ? 3 : 5;
+    config.exec_iters = bench::kTsanBuild ? 5 : 15;
+    config.rounds = bench::kTsanBuild ? 3 : 5;
     // Full-size queries: the profiling gate is a ratio, and shrinking
     // per-plan work just measures overhead against an unrealistic
     // denominator.

@@ -16,7 +16,7 @@
 //      is consistent with the recorded latency.
 //   4. SLO health: a window-p99 rule over the miss histogram fires on an
 //      injected miss storm (stats-generation bump) and resolves after the
-//      cache re-warms — deterministic EvaluateOnce ticks, no clocks.
+//      cache re-warms — deterministic manual sampler ticks, no clocks.
 // It also prints, ungated, the median unattributed share of retained
 // misses: latency not covered by any span.
 //
@@ -32,25 +32,13 @@
 
 #include "bench/bench_common.h"
 #include "src/exec/executor.h"
-#include "src/obs/health.h"
 #include "src/obs/metrics.h"
+#include "src/obs/sampler.h"
 #include "src/serving/optimizer_server.h"
 #include "src/serving/replay_driver.h"
 
 namespace balsa {
 namespace {
-
-#if defined(__SANITIZE_THREAD__)
-constexpr bool kTsanBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-constexpr bool kTsanBuild = true;
-#else
-constexpr bool kTsanBuild = false;
-#endif
-#else
-constexpr bool kTsanBuild = false;
-#endif
 
 struct FlightConfig {
   bool smoke = false;
@@ -237,39 +225,39 @@ int Run(const FlightConfig& config, const BenchFlags& flags,
   // per-tick deltas, so it must stay quiet on the warmed cache, fire on the
   // miss storm a stats-generation bump injects, and resolve once the same
   // traffic is re-warmed (a cumulative p99 would never let go).
-  obs::HealthMonitor health(&registry);
+  obs::TimeSeriesSampler sampler(&registry);
   obs::HealthRule rule;
   rule.name = "miss-p99";
   rule.kind = obs::RuleKind::kWindowP99Above;
   rule.metric = "serving.request_us{outcome=miss}";
   rule.threshold = 50;  // any cold beam search is far above 50us
-  health.AddRule(rule);
+  sampler.AddRule(rule);
 
-  health.EvaluateOnce();  // baseline tick: first tick judges empty deltas
-  health.EvaluateOnce();  // consume the functional replay's window
-  const bool quiet_before = !health.IsFiring("miss-p99");
+  sampler.SampleOnce();  // baseline tick: first tick judges empty deltas
+  sampler.SampleOnce();  // consume the functional replay's window
+  const bool quiet_before = !sampler.IsFiring("miss-p99");
 
   env.oracle->BumpGeneration();  // every cached plan becomes unreachable
   ReplayOptions storm = replay;
   storm.requests_per_client = std::max(10, replay.requests_per_client / 4);
   auto storm_report = ReplayWorkload(&func, queries, storm);
   BALSA_CHECK(storm_report.ok(), storm_report.status().ToString());
-  health.EvaluateOnce();
-  const bool fired = health.IsFiring("miss-p99");
+  sampler.SampleOnce();
+  const bool fired = sampler.IsFiring("miss-p99");
 
   // The re-warm replay reuses the storm's options: client sequences are a
   // pure function of (seed, client), so it touches exactly the query set
   // the storm just re-cached — zero misses, and the rule must resolve.
   auto rewarm_report = ReplayWorkload(&func, queries, storm);
   BALSA_CHECK(rewarm_report.ok(), rewarm_report.status().ToString());
-  health.EvaluateOnce();
-  const bool resolved = !health.IsFiring("miss-p99");
+  sampler.SampleOnce();
+  const bool resolved = !sampler.IsFiring("miss-p99");
 
   GateCheck("health: quiet on the warmed cache", quiet_before, &all_ok);
   GateCheck("health: fires on the injected miss storm", fired, &all_ok);
   GateCheck("health: resolves after the cache re-warms", resolved, &all_ok);
   int fire_events = 0, resolve_events = 0;
-  for (const obs::AlertEvent& event : health.Events()) {
+  for (const obs::AlertEvent& event : sampler.Events()) {
     (event.firing ? fire_events : resolve_events) += 1;
   }
   GateCheck("health: transition log holds the fire and the resolve",
@@ -291,7 +279,7 @@ int Run(const FlightConfig& config, const BenchFlags& flags,
               all_ok ? "PASS: tail retained, row caps promoted, exemplars "
                        "resolve, alerts round-trip"
                      : "FAIL: see gate lines above",
-              kTsanBuild ? " (TSan build)" : "");
+              bench::kTsanBuild ? " (TSan build)" : "");
   // Dump while `func` is alive — its Registrations detach on destruction.
   bench::DumpMetricsJsonIfRequested(flags);
   return all_ok ? 0 : 1;
@@ -316,7 +304,7 @@ int main(int argc, char** argv) {
     config.clients = 8;
     // TSan multiplies the cost of the replay loop ~10x; shrink it there to
     // keep CI inside its budget.
-    config.functional_requests_per_client = kTsanBuild ? 60 : 120;
+    config.functional_requests_per_client = bench::kTsanBuild ? 60 : 120;
     config.beam_size = 3;
     config.top_k = 1;
     config.max_relations = 8;

@@ -36,18 +36,6 @@
 namespace balsa {
 namespace {
 
-#if defined(__SANITIZE_THREAD__)
-constexpr bool kTsanBuild = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-constexpr bool kTsanBuild = true;
-#else
-constexpr bool kTsanBuild = false;
-#endif
-#else
-constexpr bool kTsanBuild = false;
-#endif
-
 struct OverheadConfig {
   bool smoke = false;
   double scale = 0.25;
@@ -168,8 +156,8 @@ int Run(const OverheadConfig& config, const BenchFlags& flags) {
   // a failing attempt is re-measured (the usual discipline for a perf gate
   // on a shared machine: noise can only fail, never pass, so retrying does
   // not weaken the gate's direction).
-  const double replay_threshold = kTsanBuild ? 0.90 : 0.97;
-  const double hammer_threshold = kTsanBuild ? 0.80 : 0.90;
+  const double replay_threshold = bench::kTsanBuild ? 0.90 : 0.97;
+  const double hammer_threshold = bench::kTsanBuild ? 0.80 : 0.90;
   double replay_ratio = 0, hammer_ratio = 0;
   for (int attempt = 0; attempt < 3; ++attempt) {
     if (attempt > 0) {
@@ -234,7 +222,7 @@ int Run(const OverheadConfig& config, const BenchFlags& flags) {
               ok ? "PASS: instrumentation overhead within budget"
                  : "FAIL: instrumentation overhead exceeds budget",
               replay_threshold, hammer_threshold,
-              kTsanBuild ? ", TSan build" : "");
+              bench::kTsanBuild ? ", TSan build" : "");
   // Dump while the instrumented server is alive — its Registrations detach
   // everything from the default registry on destruction.
   bench::DumpMetricsJsonIfRequested(flags);
@@ -257,9 +245,9 @@ int main(int argc, char** argv) {
     config.warm_requests_per_client = 10;
     // TSan multiplies the cost of this atomic-heavy loop ~10x; shrink the
     // phases there to keep the CI smoke step inside its budget.
-    config.measure_requests_per_client = kTsanBuild ? 2000 : 8000;
-    config.hammer_iters = kTsanBuild ? 10000 : 50000;
-    config.rounds = kTsanBuild ? 3 : 5;
+    config.measure_requests_per_client = bench::kTsanBuild ? 2000 : 8000;
+    config.hammer_iters = bench::kTsanBuild ? 10000 : 50000;
+    config.rounds = bench::kTsanBuild ? 3 : 5;
     config.beam_size = 3;
     config.top_k = 1;
     // Keep full-size queries (unlike the throughput smoke): the gate is a

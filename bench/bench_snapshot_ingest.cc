@@ -31,30 +31,17 @@
 #include "src/stats/swappable_estimator.h"
 #include "src/storage/change_log.h"
 
+namespace balsa {
+namespace {
+
 // TSan instruments every memory access and funnels synchronization through
 // its runtime, so concurrent writers slow readers far beyond what the real
 // build sees. The torn-read and publication gates are TSan's job and stay
 // hard; the throughput ratio gate is relaxed (and writers throttled harder)
 // so the smoke still fails on a genuine reader-stall regression without
 // flaking on instrumentation overhead.
-#if defined(__SANITIZE_THREAD__)
-#define BALSA_TSAN_BUILD 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define BALSA_TSAN_BUILD 1
-#endif
-#endif
-
-namespace balsa {
-namespace {
-
-#ifdef BALSA_TSAN_BUILD
-constexpr double kMinThroughputRatio = 0.5;
-constexpr int kWriterThrottleFactor = 4;
-#else
-constexpr double kMinThroughputRatio = 0.8;
-constexpr int kWriterThrottleFactor = 1;
-#endif
+constexpr double kMinThroughputRatio = bench::kTsanBuild ? 0.5 : 0.8;
+constexpr int kWriterThrottleFactor = bench::kTsanBuild ? 4 : 1;
 
 struct IngestBenchConfig {
   bool smoke = false;

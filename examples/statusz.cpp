@@ -1,6 +1,6 @@
 // Statusz: stand up the instrumented serving stack, drive a short Zipf
-// replay with the time-series sampler, the flight recorder, and the SLO
-// health monitor running, and print the one-page health dashboard —
+// replay with the time-series sampler (rates and SLO rules) and the flight
+// recorder running, and print the one-page health dashboard —
 // current QPS, per-outcome and per-stage latency percentiles (with p99
 // exemplar trace ids), alert states, plan-cache occupancy, storage state,
 // and the slow queries: the flight recorder's retained traces, row-capped
@@ -27,7 +27,6 @@
 #include "src/harness/env.h"
 #include "src/introspect/statusz.h"
 #include "src/model/value_network.h"
-#include "src/obs/health.h"
 #include "src/obs/metrics.h"
 #include "src/obs/sampler.h"
 #include "src/serving/optimizer_server.h"
@@ -97,40 +96,38 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // One 20 ms tick drives both the rate rings (a short replay still spans
+  // many points) and two demo SLO rules: a tail-latency rule on the miss
+  // path (tight enough to trip during the cold-cache phase of the replay)
+  // and a queue-saturation rule on the planning pool. Neither threshold is
+  // a per-tick count, so neither depends on the tick length: the p99 is a
+  // latency over whatever misses landed in the window, and the queue depth
+  // is an instantaneous level. Only the hysteresis counts ticks:
+  // clear_ticks = 20 asks for 400 ms of quiet before the p99 rule resolves.
   obs::TimeSeriesSamplerOptions sampler_options;
   sampler_options.interval_ms = 20;
   obs::TimeSeriesSampler sampler(&registry, sampler_options);
-  sampler.Start();
-
-  // Two demo SLO rules: a tail-latency rule on the overall hit path (tight
-  // enough to trip during the cold-cache phase of the replay) and a
-  // queue-saturation rule on the planning pool.
-  obs::HealthMonitorOptions health_options;
-  health_options.interval_ms = 200;
-  obs::HealthMonitor health(&registry, health_options);
-  health.SetSampler(&sampler);
   {
     obs::HealthRule p99;
     p99.name = "miss-p99";
     p99.kind = obs::RuleKind::kWindowP99Above;
     p99.metric = "serving.request_us{outcome=miss}";
     p99.threshold = 2000;
-    p99.clear_ticks = 2;
-    health.AddRule(p99);
+    p99.clear_ticks = 20;
+    sampler.AddRule(p99);
     obs::HealthRule queue;
     queue.name = "pool-saturated";
     queue.kind = obs::RuleKind::kGaugeAbove;
     queue.metric = "runtime.pool.queue_depth";
     queue.threshold = 32;
-    health.AddRule(queue);
+    sampler.AddRule(queue);
   }
-  health.Start();
+  sampler.Start();
 
   introspect::StatuszSources sources;
   sources.registry = &registry;
   sources.sampler = &sampler;
   sources.server = &server;
-  sources.health = &health;
 
   ReplayOptions replay;
   replay.num_clients = 8;
@@ -172,10 +169,8 @@ int main(int argc, char** argv) {
                  report->requests_per_sec, report->hit_rate, report->p50_us,
                  report->p95_us, report->p99_us);
   }
-  health.Stop();
-  health.EvaluateOnce();  // judge the final deltas
   sampler.Stop();
-  sampler.SampleOnce();  // close the window on the final totals
+  sampler.SampleOnce();  // close the window and judge the final deltas
 
   std::string page = as_json ? introspect::StatuszJson(sources)
                              : introspect::StatuszText(sources);

@@ -34,8 +34,8 @@ fi
 # bench_flight_recorder asserts the flight-recorder gates (the max-latency
 # request retained by construction, every request counted, a p99
 # histogram exemplar resolving to a span-consistent retained trace,
-# row-capped requests promoted into the retained set, and the SLO monitor
-# firing on an injected miss storm then resolving after re-warm).
+# row-capped requests promoted into the retained set, and a sampler SLO
+# rule firing on an injected miss storm then resolving after re-warm).
 # Each exits non-zero on violation.
 if [ -x "$build_dir/bench/bench_inference_batching" ]; then
   echo "==> bench_inference_batching"

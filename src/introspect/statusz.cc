@@ -115,14 +115,11 @@ StatuszData Gather(const StatuszSources& sources) {
     }
     data.sampler_ticks = sources.sampler->samples_taken();
     data.sampler_series = sources.sampler->Series().size();
-  }
-
-  if (sources.health != nullptr) {
-    data.alerts = sources.health->Rules();
+    data.alerts = sources.sampler->Rules();
     for (const obs::RuleStatus& r : data.alerts) {
       if (r.state == obs::AlertState::kFiring) data.alerts_firing++;
     }
-    std::vector<obs::AlertEvent> events = sources.health->Events();
+    std::vector<obs::AlertEvent> events = sources.sampler->Events();
     for (auto it = events.rbegin();
          it != events.rend() &&
          data.alert_events.size() <
@@ -280,8 +277,6 @@ std::string StatuszJson(const StatuszSources& sources) {
   if (sources.sampler != nullptr) {
     out += ",\"sampler\":{\"ticks\":" + std::to_string(d.sampler_ticks) +
            ",\"series\":" + std::to_string(d.sampler_series) + '}';
-  }
-  if (sources.health != nullptr) {
     out += ",\"alerts\":{\"firing\":" + std::to_string(d.alerts_firing) +
            ",\"rules\":[";
     for (size_t i = 0; i < d.alerts.size(); ++i) {

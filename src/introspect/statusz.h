@@ -1,7 +1,8 @@
 // Statusz: the one-page "is it healthy" dashboard, assembled from whatever
 // observability sources the caller has — a registry snapshot (required),
-// a TimeSeriesSampler (adds rates: QPS, ingest rows/s), and an
-// OptimizerServer (adds its retained traces as the slow-query view).
+// a TimeSeriesSampler (adds rates: QPS, ingest rows/s, and the alerts from
+// its SLO rules), and an OptimizerServer (adds its retained traces as the
+// slow-query view).
 // Renders as text for terminals (examples/statusz, bench_serving_throughput)
 // and as JSON for tooling. Pure read path: one registry snapshot, one
 // sampler read, one copy of the retained set — nothing here perturbs
@@ -10,7 +11,6 @@
 
 #include <string>
 
-#include "src/obs/health.h"
 #include "src/obs/metrics.h"
 #include "src/obs/sampler.h"
 #include "src/serving/optimizer_server.h"
@@ -21,14 +21,12 @@ struct StatuszSources {
   /// Required: the registry everything is attached to.
   const obs::MetricsRegistry* registry = nullptr;
   /// Optional: adds derived rates (QPS, ingest rows/s) over the sampler's
-  /// retained window.
+  /// retained window, and the alerts section (its SLO rules with firing
+  /// state plus recent fire/resolve transitions).
   const obs::TimeSeriesSampler* sampler = nullptr;
   /// Optional: adds the flight_recorder retention counts and the slow-query
   /// view over the tracer's retained set (row-capped first, then slowest).
   const OptimizerServer* server = nullptr;
-  /// Optional: adds the alerts section (SLO rules with firing state plus
-  /// recent fire/resolve transitions).
-  const obs::HealthMonitor* health = nullptr;
   /// Metric name prefix the serving stack was attached under.
   std::string serving_prefix = "serving";
   /// Alert transitions shown (newest first).

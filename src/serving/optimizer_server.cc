@@ -93,7 +93,8 @@ OptimizerServer::OptimizerServer(const Schema* schema,
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry* reg = options_.metrics;
     const std::string& p = options_.metrics_prefix;
-    registrations_.push_back(reg->AttachCounter(p + ".requests", &requests_));
+    registrations_.push_back(reg->AttachCallbackGauge(
+        p + ".requests", [this] { return tracer_.requests(); }));
     registrations_.push_back(reg->AttachCounter(p + ".hits", &hits_));
     registrations_.push_back(reg->AttachCounter(p + ".misses", &misses_));
     registrations_.push_back(
@@ -285,7 +286,6 @@ StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::PlanUncached(
 
 StatusOr<OptimizerServer::OptimizeResult> OptimizerServer::Serve(
     const Query& query, obs::RequestTracer::Request* request) {
-  requests_.Inc();
   // Lazy trace shell: armed the moment a request leaves the pure hit path.
   // From then on every span site on this thread (admit, coalesce-wait) and
   // on the planning pool (queue-wait, beam-search, inference) records into
@@ -482,7 +482,7 @@ OptimizerServer::RewarmReport OptimizerServer::Rewarm(int top_k) {
 
 OptimizerServer::Stats OptimizerServer::stats() const {
   Stats stats;
-  stats.requests = requests_.Value();
+  stats.requests = tracer_.requests();
   stats.hits = hits_.Value();
   stats.misses = misses_.Value();
   stats.coalesced = coalesced_.Value();

@@ -144,7 +144,7 @@ class OptimizerServer {
   StatusOr<OptimizeResult> OptimizeSql(const std::string& sql);
 
   struct Stats {
-    int64_t requests = 0;
+    int64_t requests = 0;   // arrivals, counted once by the tracer's Begin()
     int64_t hits = 0;
     int64_t misses = 0;     // requests that found no cached plan
     int64_t coalesced = 0;  // misses served by joining an in-flight plan
@@ -266,7 +266,6 @@ class OptimizerServer {
   std::unordered_map<uint64_t, std::shared_ptr<InFlight>> in_flight_
       GUARDED_BY(mu_);
 
-  obs::Counter requests_;
   obs::Counter hits_;
   obs::Counter misses_;
   obs::Counter coalesced_;

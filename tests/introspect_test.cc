@@ -356,10 +356,18 @@ TEST_F(ServingIntrospectTest, StatuszRendersFromLiveServingState) {
   ASSERT_TRUE(server->Optimize(query_).ok());
   ASSERT_TRUE(server->Optimize(query_).ok());
 
+  // The sampler carries the SLO rules too: a request-rate rule with a
+  // threshold of 0 fires on the one request between the two ticks.
   obs::TimeSeriesSampler sampler(&registry);
+  obs::HealthRule rule;
+  rule.name = "any-traffic";
+  rule.kind = obs::RuleKind::kWindowRateAbove;
+  rule.metric = "serving.requests";
+  sampler.AddRule(rule);
   sampler.SampleOnce();
   ASSERT_TRUE(server->Optimize(query_).ok());
   sampler.SampleOnce();
+  ASSERT_TRUE(sampler.IsFiring("any-traffic"));
 
   introspect::StatuszSources sources;
   sources.registry = &registry;
@@ -372,6 +380,8 @@ TEST_F(ServingIntrospectTest, StatuszRendersFromLiveServingState) {
   EXPECT_NE(text.find("recent slow queries"), std::string::npos);
   EXPECT_NE(text.find("star4"), std::string::npos);
   EXPECT_NE(text.find("unattributed"), std::string::npos);
+  EXPECT_NE(text.find("alerts: 1 firing / 1 rules"), std::string::npos);
+  EXPECT_NE(text.find("any-traffic"), std::string::npos);
 
   const std::string json = introspect::StatuszJson(sources);
   EXPECT_TRUE(JsonParses(json)) << json;
@@ -379,6 +389,8 @@ TEST_F(ServingIntrospectTest, StatuszRendersFromLiveServingState) {
   EXPECT_NE(json.find("\"flight_recorder\":{"), std::string::npos);
   EXPECT_NE(json.find("\"recent_slow_queries\":[{"), std::string::npos);
   EXPECT_NE(json.find("\"unattributed_us\":"), std::string::npos);
+  EXPECT_NE(json.find("\"alerts\":{\"firing\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"any-traffic\""), std::string::npos);
 
   // Statusz degrades gracefully to a bare registry: no sampler, no server.
   introspect::StatuszSources bare;

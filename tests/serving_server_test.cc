@@ -250,6 +250,9 @@ TEST_F(OptimizerServerTest, ReplayDriverReportsConsistentPlans) {
   auto report = ReplayWorkload(server.get(), queries, replay);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_EQ(report->requests, 100);
+  // Arrivals are counted once, on the tracer's per-thread stripes.
+  EXPECT_EQ(server->stats().requests, server->tracer()->requests());
+  EXPECT_EQ(server->stats().requests, 100);
   EXPECT_TRUE(report->plans_consistent);
   // 3 distinct fingerprints at one stats_version: at most 3 beam searches.
   EXPECT_LE(report->server.planned, 3);
