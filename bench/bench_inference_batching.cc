@@ -1,6 +1,6 @@
 // Micro-benchmark for the batched value-network inference path: evals/sec
 // of one Predict per plan (batch size 1, a one-item ForwardBatch) vs
-// ValueNetwork::ForwardBatch at micro-batch sizes {8, 32, 128}, plus the
+// ValueNetwork::ForwardBatch at batch sizes {8, 32, 128}, plus the
 // InferenceService end to end. The acceptance gate for the runtime is
 // >= 2x evals/sec at batch 32.
 //
@@ -115,11 +115,9 @@ int Main(int argc, char** argv) {
                 rate / base);
   }
 
-  // End to end through the micro-batching service (synchronous mode: the
-  // queue hop without cross-client fusion).
+  // End to end through the service, chunked at 32 items.
   InferenceServiceOptions service_options;
   service_options.max_batch_size = 32;
-  service_options.num_workers = 0;
   InferenceService service(setup.net.get(), service_options);
   double service_rate = Throughput(setup, min_seconds, [&] {
     service.ScoreBatch(query_feat, ptrs);

@@ -1,6 +1,7 @@
 #include "src/balsa/agent.h"
 
 #include <algorithm>
+#include <chrono>
 #include <optional>
 
 #include "src/util/logging.h"
@@ -158,7 +159,7 @@ Status BalsaAgent::RunIteration() {
 
   // --- Execute phase (§4.1): plan every training query, run it ---------
   // Planning fans out across the runtime's real threads (network scoring is
-  // the hot path; it is const and micro-batched by the inference service).
+  // the hot path; it is const, and each thread scores its own frontiers).
   // Executions then run in deterministic query order: the engine's noise
   // stream, plan cache, and the experience buffer stay sequential, so an
   // iteration's outcome is independent of the thread count.
@@ -186,9 +187,13 @@ Status BalsaAgent::RunIteration() {
     if (chosen == nullptr) {
       return Status::Internal("no plan produced for " + query->name());
     }
+    const auto execute_start = std::chrono::steady_clock::now();
     BALSA_ASSIGN_OR_RETURN(
         ExecutionResult result,
         engine_->Execute(*query, *chosen, stats.timeout_ms));
+    stats.execute_ms += std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - execute_start)
+                            .count();
 
     Execution e;
     e.query_id = query->id();

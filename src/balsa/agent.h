@@ -68,7 +68,7 @@ struct BalsaAgentOptions {
   /// count — tasks merge in deterministic (query) order and scoring is
   /// batch-composition independent.
   int num_threads = 0;
-  /// Micro-batching of concurrent value-network requests.
+  /// Batched value-network scoring of each planning thread's frontiers.
   InferenceServiceOptions inference;
   /// Virtual seconds charged per SGD sample processed during updates; this
   /// is what makes the retrain scheme progressively slower (§8.3.4).
@@ -109,6 +109,8 @@ struct IterationStats {
   /// and the batched inference calls that served them.
   int64_t network_evals = 0;
   int64_t inference_batches = 0;
+  /// Wall clock of this iteration's engine executions of the chosen plans.
+  double execute_ms = 0;
   /// The update phase's ValueNetwork::Train: real wall clock, epochs run,
   /// final training loss, and best validation loss (the training loss when
   /// nothing was held out), both in the network's label space.
@@ -177,8 +179,8 @@ class BalsaAgent {
   std::unique_ptr<ValueNetwork> network_;
   /// Post-bootstrap weights, for diversified-experience retraining.
   std::unique_ptr<ValueNetwork> bootstrap_snapshot_;
-  /// Micro-batches concurrent planning threads' scoring requests into
-  /// fused forward passes.
+  /// Scores each planning thread's frontiers in batched forward passes on
+  /// that thread.
   std::unique_ptr<InferenceService> inference_;
   /// Real planning/collection threads (the virtual clock still accounts
   /// execution time via pool_).

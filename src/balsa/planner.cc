@@ -54,7 +54,7 @@ StatusOr<BeamSearchPlanner::PlanningResult> BeamSearchPlanner::TopK(
   // Scores every plan in `pending` that the cache has not seen in one
   // batched forward pass. A score is bitwise independent of its batch
   // (nn's kernels sum every element in a fixed order), so how frontiers
-  // are batched, or fused by the inference service, never changes a plan.
+  // are batched, or chunked by the inference service, never changes a plan.
   auto score_pending = [&](const std::vector<const Plan*>& pending) {
     std::vector<const Plan*> need;
     std::vector<uint64_t> need_fps;

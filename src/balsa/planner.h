@@ -72,8 +72,8 @@ class BeamSearchPlanner {
   const PlannerOptions& options() const { return options_; }
   void set_options(const PlannerOptions& options) { options_ = options; }
 
-  /// Routes batched scoring through a shared micro-batching service so
-  /// concurrent planners fuse their frontiers into shared forward passes.
+  /// Routes batched scoring through a shared inference service, which
+  /// counts and times every frontier's forward passes.
   /// Null (the default) scores via the network directly. The service must
   /// wrap the same network.
   void set_inference_service(InferenceService* service) {

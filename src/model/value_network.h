@@ -50,8 +50,8 @@ class ValueNetwork {
   /// with every plan's nodes stacked into shared matrices (batched tree
   /// convolution + dynamic pooling in nn::). An item's score is bitwise
   /// independent of the rest of the batch — every output element sums its
-  /// terms in a fixed order whatever shares the batch — so micro-batching
-  /// concurrent requests can never change a result. `queries[i]` pairs
+  /// terms in a fixed order whatever shares the batch — so how a frontier
+  /// is split into batches can never change a result. `queries[i]` pairs
   /// with `plans[i]`.
   std::vector<double> ForwardBatch(
       const std::vector<const nn::Vec*>& queries,

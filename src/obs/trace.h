@@ -73,7 +73,7 @@ enum class TraceStage : int {
   kCoalesceWait,     // blocked on another request's in-flight planning
   kQueueWait,        // enqueue->dequeue wait on the planning pool
   kBeamSearch,       // the full beam search of a miss (serving/balsa)
-  kInference,        // one ScoreBatch call: queue wait + fused forward pass
+  kInference,        // one ScoreBatch call: forward pass on the planning thread
   kAdmit,            // canonicalize + insert the planned entry (serving)
   kExecScan,         // one Executor::Scan over a relation's chunks
   kExecJoin,         // one Executor::Join of two intermediates

@@ -11,9 +11,6 @@ InferenceService::InferenceService(const ValueNetwork* network,
                                    InferenceServiceOptions options)
     : network_(network), options_(options) {
   options_.max_batch_size = std::max(1, options_.max_batch_size);
-  for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
   if (options_.metrics != nullptr) {
     obs::MetricsRegistry* reg = options_.metrics;
     const std::string& p = options_.metrics_prefix;
@@ -22,120 +19,39 @@ InferenceService::InferenceService(const ValueNetwork* network,
     registrations_.push_back(
         reg->AttachCounter(p + ".forward_batches", &forward_batches_));
     registrations_.push_back(
-        reg->AttachGauge(p + ".max_fused_items", &max_fused_));
-    registrations_.push_back(
         reg->AttachHistogram(p + ".batch_items", &batch_items_));
     registrations_.push_back(
         reg->AttachHistogram(p + ".batch_serve_us", &batch_serve_us_));
   }
 }
 
-InferenceService::~InferenceService() {
-  {
-    MutexLock lock(mu_);
-    stop_ = true;
-  }
-  queue_cv_.NotifyAll();
-  for (std::thread& t : workers_) t.join();
-}
-
 std::vector<double> InferenceService::ScoreBatch(
     const nn::Vec& query, const std::vector<const nn::TreeSample*>& plans) {
   if (plans.empty()) return {};
   // On a traced planning thread this records one kInference span per
-  // ScoreBatch: queue wait plus the fused forward pass. Inert otherwise.
+  // ScoreBatch: the forward pass on this thread. Inert otherwise.
   obs::SpanTimer span(obs::TraceStage::kInference);
+  const auto start = std::chrono::steady_clock::now();
   requests_.Inc();
 
-  if (workers_.empty()) {
-    // Synchronous mode: evaluate on the calling thread, still chunked.
-    Request request;
-    request.query = &query;
-    request.plans = &plans;
-    ServeBatch({&request});
-    return std::move(request.scores);
-  }
-
-  Request request;
-  request.query = &query;
-  request.plans = &plans;
-  {
-    MutexLock lock(mu_);
-    queue_.push_back(&request);
-  }
-  queue_cv_.NotifyOne();
-  MutexLock lock(mu_);
-  while (!request.done) done_cv_.Wait(mu_);
-  return std::move(request.scores);
-}
-
-void InferenceService::WorkerLoop() {
-  for (;;) {
-    std::vector<Request*> batch;
-    {
-      MutexLock lock(mu_);
-      while (!stop_ && queue_.empty()) queue_cv_.Wait(mu_);
-      if (queue_.empty()) return;  // stopping, queue drained
-      // Fuse queued requests up to max_batch_size items; always take at
-      // least one request so oversized requests still make progress.
-      int taken = 0;
-      while (!queue_.empty()) {
-        const int next =
-            static_cast<int>(queue_.front()->plans->size());
-        if (!batch.empty() && taken + next > options_.max_batch_size) break;
-        batch.push_back(queue_.front());
-        queue_.pop_front();
-        taken += next;
-      }
-    }
-    ServeBatch(batch);
-    {
-      MutexLock lock(mu_);
-      for (Request* r : batch) r->done = true;
-    }
-    done_cv_.NotifyAll();
-  }
-}
-
-void InferenceService::ServeBatch(const std::vector<Request*>& batch) {
-  const auto start = std::chrono::steady_clock::now();
-  // Flatten the fused requests into per-item (query, plan) arrays.
-  std::vector<const nn::Vec*> queries;
-  std::vector<const nn::TreeSample*> plans;
-  for (const Request* r : batch) {
-    for (const nn::TreeSample* plan : *r->plans) {
-      queries.push_back(r->query);
-      plans.push_back(plan);
-    }
-  }
   const int total = static_cast<int>(plans.size());
-
   std::vector<double> scores;
-  scores.reserve(static_cast<size_t>(total));
+  scores.reserve(plans.size());
   for (int lo = 0; lo < total; lo += options_.max_batch_size) {
     const int hi = std::min(total, lo + options_.max_batch_size);
-    std::vector<const nn::Vec*> chunk_queries(queries.begin() + lo,
-                                              queries.begin() + hi);
     std::vector<const nn::TreeSample*> chunk_plans(plans.begin() + lo,
                                                    plans.begin() + hi);
-    std::vector<double> chunk = network_->ForwardBatch(chunk_queries,
-                                                       chunk_plans);
+    std::vector<double> chunk = network_->ForwardBatch(query, chunk_plans);
     scores.insert(scores.end(), chunk.begin(), chunk.end());
     forward_batches_.Inc();
-    max_fused_.UpdateMax(hi - lo);
     batch_items_.Record(hi - lo);
   }
 
-  size_t pos = 0;
-  for (Request* r : batch) {
-    r->scores.assign(scores.begin() + pos,
-                     scores.begin() + pos + r->plans->size());
-    pos += r->plans->size();
-  }
   items_.Inc(total);
   batch_serve_us_.Record(std::chrono::duration<double, std::micro>(
                              std::chrono::steady_clock::now() - start)
                              .count());
+  return scores;
 }
 
 InferenceService::Stats InferenceService::stats() const {
@@ -143,7 +59,6 @@ InferenceService::Stats InferenceService::stats() const {
   stats.requests = requests_.Value();
   stats.items = items_.Value();
   stats.forward_batches = forward_batches_.Value();
-  stats.max_fused_items = max_fused_.Value();
   return stats;
 }
 

@@ -1,42 +1,34 @@
-// A micro-batching inference service over the value network, mirroring
-// Balsa's batched V(query, plan) scoring of beam-search frontiers (§6):
-// clients (planning threads) block on ScoreBatch(); worker threads drain
-// the request queue, fuse concurrent requests — across clients and across
-// queries — into single ValueNetwork::ForwardBatch calls, and hand each
-// client its scores back.
+// A batched inference service over the value network, mirroring Balsa's
+// batched V(query, plan) scoring of beam-search frontiers (§6): a planning
+// thread hands ScoreBatch() one whole frontier, and the service runs the
+// forward pass on that thread, in chunks of at most max_batch_size items.
+// The service owns no thread and no lock — it is a chunking loop plus
+// lock-free counters, so any number of planning threads may score at once.
 //
 // Determinism: the batched nn kernels make every item's score bitwise
-// independent of the rest of the forward batch (see nn::AddMatMul), so
-// coalescing — however the race between clients plays out — never changes
-// any result. The service adds throughput, not nondeterminism.
+// independent of the rest of the forward batch (see nn::AddMatMul), so the
+// chunk size never changes any result.
 //
 // The network pointer is borrowed; callers must not train the network while
 // requests are in flight (the agent plans and trains in distinct phases).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/model/value_network.h"
 #include "src/obs/metrics.h"
-#include "src/util/thread_annotations.h"
 
 namespace balsa {
 
 struct InferenceServiceOptions {
-  /// Max (query, plan) items fused into one ForwardBatch call; larger
-  /// requests are evaluated in chunks of this size.
+  /// Max (query, plan) items in one ForwardBatch call; larger requests are
+  /// evaluated in chunks of this size.
   int max_batch_size = 128;
-  /// Worker threads draining the queue. 0 = synchronous mode: ScoreBatch
-  /// runs the forward pass on the calling thread (no queue, no fusion) —
-  /// useful for profiling and single-threaded callers.
-  int num_workers = 1;
-  /// When set, the service attaches its counters, the fused-batch-size
-  /// histogram, and the forward-pass duration histogram under
-  /// metrics_prefix. Borrowed; must outlive the service.
+  /// When set, the service attaches its counters, the batch-size histogram,
+  /// and the forward-pass duration histogram under metrics_prefix.
+  /// Borrowed; must outlive the service.
   obs::MetricsRegistry* metrics = nullptr;
   std::string metrics_prefix = "runtime.inference";
 };
@@ -45,33 +37,28 @@ class InferenceService {
  public:
   explicit InferenceService(const ValueNetwork* network,
                             InferenceServiceOptions options = {});
-  ~InferenceService();
 
   InferenceService(const InferenceService&) = delete;
   InferenceService& operator=(const InferenceService&) = delete;
 
-  /// Blocking: predicted labels (original units), one per plan. Thread-safe;
-  /// concurrent calls may be fused into shared forward batches without
-  /// affecting any score (see file comment).
+  /// Predicted labels (original units), one per plan, computed on the
+  /// calling thread. Thread-safe: ForwardBatch is const.
   std::vector<double> ScoreBatch(
       const nn::Vec& query,
-      const std::vector<const nn::TreeSample*>& plans) EXCLUDES(mu_);
+      const std::vector<const nn::TreeSample*>& plans);
 
   struct Stats {
     int64_t requests = 0;         // ScoreBatch calls
     int64_t items = 0;            // (query, plan) pairs scored
     int64_t forward_batches = 0;  // ForwardBatch calls issued
-    int64_t max_fused_items = 0;  // largest single forward batch
   };
   Stats stats() const;
 
-  /// Items per ForwardBatch call — the fusion-quality distribution (a
-  /// service doing its job shows this clustering near max_batch_size under
-  /// concurrent load). Same bucketing the registry exports.
+  /// Items per ForwardBatch call. Same bucketing the registry exports.
   const obs::Log2Histogram& batch_items_histogram() const {
     return batch_items_;
   }
-  /// Wall µs per ServeBatch call (all chunks of one fused drain).
+  /// Wall µs per ScoreBatch call (all chunks of one request).
   const obs::Log2Histogram& batch_serve_us_histogram() const {
     return batch_serve_us_;
   }
@@ -79,40 +66,12 @@ class InferenceService {
   const ValueNetwork* network() const { return network_; }
 
  private:
-  struct Request {
-    const nn::Vec* query = nullptr;
-    const std::vector<const nn::TreeSample*>* plans = nullptr;
-    /// Written by the serving worker while the request sits in no queue
-    /// (exclusive access between dequeue and the done flip), read by the
-    /// client only after observing done == true under the service's mu_.
-    std::vector<double> scores;
-    /// Guarded by the owning service's mu_ (not annotatable from a nested
-    /// struct: the capability expression cannot name the outer instance).
-    bool done = false;
-  };
-
-  void WorkerLoop() EXCLUDES(mu_);
-  /// Runs the fused forward passes for `batch` (chunked at max_batch_size)
-  /// and fills each request's scores. Called without holding mu_.
-  void ServeBatch(const std::vector<Request*>& batch) EXCLUDES(mu_);
-
   const ValueNetwork* network_;
   InferenceServiceOptions options_;
 
-  mutable Mutex mu_;
-  CondVar queue_cv_;  // workers wait for requests
-  CondVar done_cv_;   // clients wait for their scores
-  std::deque<Request*> queue_ GUARDED_BY(mu_);
-  bool stop_ GUARDED_BY(mu_) = false;
-  std::vector<std::thread> workers_;
-
-  // Lock-free stats: ScoreBatch/ServeBatch record without touching mu_
-  // (the old Stats struct lived under it; moving to obs instruments took
-  // the bookkeeping out of the queue's critical sections entirely).
   obs::Counter requests_;
   obs::Counter items_;
   obs::Counter forward_batches_;
-  obs::Gauge max_fused_;  // high-water mark via UpdateMax
   obs::Log2Histogram batch_items_;
   obs::Log2Histogram batch_serve_us_;
   /// Registry attachments (empty without options.metrics). Last member:

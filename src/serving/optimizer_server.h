@@ -9,8 +9,8 @@
 // receive correctly wired plans. Cache misses fan out through
 // the runtime: planning runs on the server's ParallelExecutor pool (bounded
 // planning concurrency = admission control), and every planner scores its
-// frontiers through one shared InferenceService, so concurrent misses fuse
-// into shared value-network forward batches.
+// frontiers through one shared InferenceService, in batched value-network
+// forward passes on the planning thread.
 //
 // In-flight coalescing: misses for the *same* (fingerprint, stats_version)
 // collapse into one planning call — the first requester plans, the rest
@@ -75,7 +75,7 @@ struct OptimizerServerOptions {
   /// a server must hand every client the same plan for the same query.
   PlannerOptions planner;
   PlanCacheOptions cache;
-  /// Micro-batching of concurrent planners' scoring requests.
+  /// Batched scoring of each planner's frontiers.
   InferenceServiceOptions inference;
   /// Planning threads (0 = hardware concurrency). Bounds how many misses
   /// plan at once; excess misses queue on the pool.

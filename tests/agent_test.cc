@@ -63,8 +63,9 @@ TEST_F(AgentTest, ReportsTrainingPhases) {
   EXPECT_GT(agent.sim_stats().train_seconds, 0);
   EXPECT_GE(agent.sim_stats().train_epochs, 1);
   EXPECT_LE(agent.sim_stats().train_epochs, options.sim_train.max_epochs);
-  // Every iteration's V_real update.
+  // Every iteration's engine executions and V_real update.
   for (const IterationStats& s : agent.curve()) {
+    EXPECT_GT(s.execute_ms, 0);
     EXPECT_GT(s.train_ms, 0);
     EXPECT_GE(s.train_epochs, 1);
     EXPECT_LE(s.train_epochs, options.real_train.max_epochs);

@@ -1,8 +1,8 @@
-// Batched inference correctness: ValueNetwork::ForwardBatch must agree with
-// per-item Predict, an item's score must be bitwise independent of its
-// batch, the micro-batching InferenceService must preserve both properties
-// under concurrent clients, and ScoreBatch-driven beam search must produce
-// exactly the plans the per-plan path produces.
+// Batched inference correctness: an item's score must be bitwise
+// independent of its batch (Predict is the one-item batch), the
+// InferenceService must preserve that under chunking and concurrent
+// callers, and ScoreBatch-driven beam search must produce exactly the plans
+// the per-plan path produces.
 #include "src/runtime/inference_service.h"
 
 #include <memory>
@@ -65,24 +65,17 @@ class InferenceServiceTest : public ::testing::Test {
   std::vector<nn::TreeSample> trees_;
 };
 
-TEST_F(InferenceServiceTest, ForwardBatchMatchesPredict) {
-  std::vector<double> batched = network_->ForwardBatch(query_feat_,
-                                                       TreePtrs());
-  ASSERT_EQ(batched.size(), trees_.size());
-  for (size_t i = 0; i < trees_.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batched[i], network_->Predict(query_feat_, trees_[i]))
-        << "plan " << i;
-  }
-}
-
 TEST_F(InferenceServiceTest, ScoreIsIndependentOfBatchComposition) {
   // The batched kernels sum every element in a fixed order, so an item's
   // score must be bitwise identical alone and inside any batch.
   std::vector<double> full = network_->ForwardBatch(query_feat_, TreePtrs());
+  ASSERT_EQ(full.size(), trees_.size());
   for (size_t i = 0; i < trees_.size(); ++i) {
     std::vector<double> solo =
         network_->ForwardBatch(query_feat_, {&trees_[i]});
     EXPECT_EQ(solo[0], full[i]) << "plan " << i;
+    EXPECT_EQ(network_->Predict(query_feat_, trees_[i]), full[i])
+        << "plan " << i;
   }
   // A shuffled sub-batch agrees element-for-element too.
   std::vector<const nn::TreeSample*> subset{&trees_[5], &trees_[0],
@@ -94,7 +87,7 @@ TEST_F(InferenceServiceTest, ScoreIsIndependentOfBatchComposition) {
 }
 
 TEST_F(InferenceServiceTest, MixedQueryBatchMatchesPerItem) {
-  // Per-item query vectors (the fused cross-client case).
+  // Per-item query vectors.
   nn::Vec scoped_feat = featurizer_.QueryFeatures(
       query_, TableSet::Single(0).With(1));
   std::vector<const nn::Vec*> queries;
@@ -112,22 +105,17 @@ TEST_F(InferenceServiceTest, MixedQueryBatchMatchesPerItem) {
 TEST_F(InferenceServiceTest, ServiceMatchesDirectForwardBatch) {
   std::vector<double> direct = network_->ForwardBatch(query_feat_,
                                                       TreePtrs());
-  for (int workers : {0, 1, 2}) {  // 0 = synchronous mode
-    InferenceServiceOptions options;
-    options.num_workers = workers;
-    InferenceService service(network_.get(), options);
-    std::vector<double> served = service.ScoreBatch(query_feat_, TreePtrs());
-    ASSERT_EQ(served.size(), direct.size());
-    for (size_t i = 0; i < direct.size(); ++i) {
-      EXPECT_EQ(served[i], direct[i]) << "workers=" << workers;
-    }
+  InferenceService service(network_.get());
+  std::vector<double> served = service.ScoreBatch(query_feat_, TreePtrs());
+  ASSERT_EQ(served.size(), direct.size());
+  for (size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_EQ(served[i], direct[i]) << "plan " << i;
   }
 }
 
 TEST_F(InferenceServiceTest, ServiceChunksOversizedRequests) {
   InferenceServiceOptions options;
   options.max_batch_size = 4;
-  options.num_workers = 1;
   InferenceService service(network_.get(), options);
   std::vector<double> served = service.ScoreBatch(query_feat_, TreePtrs());
   std::vector<double> direct = network_->ForwardBatch(query_feat_,
@@ -136,16 +124,14 @@ TEST_F(InferenceServiceTest, ServiceChunksOversizedRequests) {
     EXPECT_EQ(served[i], direct[i]);
   }
   InferenceService::Stats stats = service.stats();
-  EXPECT_EQ(stats.items, static_cast<int64_t>(trees_.size()));
-  EXPECT_GE(stats.forward_batches,
-            static_cast<int64_t>((trees_.size() + 3) / 4));
-  EXPECT_LE(stats.max_fused_items, 4);
+  ASSERT_EQ(trees_.size(), 18u);
+  EXPECT_EQ(stats.items, 18);
+  EXPECT_EQ(stats.forward_batches, 5);  // 4 + 4 + 4 + 4 + 2
 }
 
 TEST_F(InferenceServiceTest, ConcurrentClientsGetCorrectScores) {
-  InferenceServiceOptions options;
-  options.num_workers = 2;
-  InferenceService service(network_.get(), options);
+  // Planning threads share one service and run ForwardBatch concurrently.
+  InferenceService service(network_.get());
   std::vector<double> direct = network_->ForwardBatch(query_feat_,
                                                       TreePtrs());
 
@@ -164,7 +150,7 @@ TEST_F(InferenceServiceTest, ConcurrentClientsGetCorrectScores) {
   for (int c = 0; c < kClients; ++c) {
     ASSERT_EQ(results[c].size(), direct.size());
     for (size_t i = 0; i < direct.size(); ++i) {
-      // Fusion across clients must never perturb a score.
+      // Concurrent callers must never perturb each other's scores.
       EXPECT_EQ(results[c][i], direct[i]) << "client " << c;
     }
   }
@@ -183,9 +169,7 @@ TEST_F(InferenceServiceTest, PlannerThroughServiceFindsIdenticalPlans) {
   auto baseline = direct.TopK(query_);
   ASSERT_TRUE(baseline.ok());
 
-  InferenceServiceOptions service_options;
-  service_options.num_workers = 2;
-  InferenceService service(network_.get(), service_options);
+  InferenceService service(network_.get());
   BeamSearchPlanner routed(&fixture_.schema(), &featurizer_, network_.get(),
                            options);
   routed.set_inference_service(&service);
