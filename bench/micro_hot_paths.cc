@@ -1,11 +1,13 @@
 // Google-benchmark microbenchmarks for the hot paths: executor joins,
-// oracle lookups, value-network inference and training, beam-search
-// planning, and DP enumeration. These bound the per-iteration cost of the
-// learning loop.
+// oracle lookups and cold plan probes, value-network inference and
+// training, beam-search planning, and DP enumeration. These bound the
+// per-iteration cost of the learning loop.
 #include <benchmark/benchmark.h>
 
 #include "src/balsa/planner.h"
 #include "src/balsa/simulation.h"
+#include "src/baselines/random_planner.h"
+#include "src/harness/env.h"
 #include "src/model/value_network.h"
 #include "src/optimizer/dp_optimizer.h"
 #include "tests/test_util.h"
@@ -65,6 +67,51 @@ void BM_OracleCachedLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OracleCachedLookup);
+
+/// Every third JOB train query at learn_job's data scale, each with its
+/// expert plan and one random bushy plan: a fixed set of the kinds of plans
+/// the Learn loop probes.
+struct JobPlans {
+  std::unique_ptr<Env> env;
+  std::vector<std::pair<const Query*, Plan>> plans;
+
+  JobPlans() {
+    EnvOptions options;
+    options.data_scale = 0.25;
+    auto made = MakeEnv(WorkloadKind::kJobRandomSplit, options);
+    BALSA_CHECK(made.ok(), made.status().ToString());
+    env = std::move(made).value();
+    RandomPlanner random(&env->schema());
+    Rng rng(7);
+    const std::vector<const Query*> train = env->workload.TrainQueries();
+    for (size_t i = 0; i < train.size(); i += 3) {
+      const Query* query = train[i];
+      auto expert = env->pg_expert->Optimize(*query);
+      auto sampled = random.Sample(*query, &rng);
+      BALSA_CHECK(expert.ok() && sampled.ok(), query->name());
+      plans.push_back({query, expert->plan});
+      plans.push_back({query, std::move(sampled).value()});
+    }
+  }
+};
+
+/// True cardinalities of every node of every plan on a fresh oracle, so
+/// each iteration measures all of them from scratch (within-call reuse
+/// only). One item is one plan.
+void BM_PlanCardinalitiesCold(benchmark::State& state) {
+  static JobPlans* job = new JobPlans();
+  for (auto _ : state) {
+    CardOracle oracle(job->env->db.get());
+    for (const auto& [query, plan] : job->plans) {
+      auto cards = oracle.PlanCardinalities(*query, plan);
+      BALSA_CHECK(cards.ok(), cards.status().ToString());
+      benchmark::DoNotOptimize(cards);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(job->plans.size()));
+}
+BENCHMARK(BM_PlanCardinalitiesCold)->Unit(benchmark::kMillisecond);
 
 void BM_ValueNetworkPredict(benchmark::State& state) {
   MicroEnv& env = GlobalEnv();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
 
 #include "src/obs/trace.h"
 #include "src/util/parallel_for.h"
@@ -332,10 +331,191 @@ StatusOr<Intermediate> Executor::Scan(const Query& query, int rel,
   return finish(std::move(out));
 }
 
+namespace {
+
+/// An open-addressing hash table over a join's build keys. Each distinct key
+/// owns one contiguous run of build row indices in ascending order (a
+/// counting sort by key), so a probe walks its matches in exactly the order
+/// they were inserted. NULL keys are never inserted: kNullValue doubles as
+/// the empty-slot marker.
+class FlatJoinTable {
+ public:
+  /// `keys[i]` is build row i's key.
+  explicit FlatJoinTable(const std::vector<int64_t>& keys) {
+    const size_t n = keys.size();
+    int bits = 4;
+    while ((size_t{1} << bits) < 2 * n) ++bits;
+    shift_ = 64 - bits;
+    mask_ = (size_t{1} << bits) - 1;
+    slot_key_.assign(mask_ + 1, kNullValue);
+    slot_group_.resize(mask_ + 1);
+    constexpr uint32_t kNoGroup = ~uint32_t{0};
+    std::vector<uint32_t> group_of(n, kNoGroup);
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t key = keys[i];
+      if (IsNull(key)) continue;  // NULL keys never match
+      size_t h = Slot(key);
+      while (slot_key_[h] != kNullValue && slot_key_[h] != key) {
+        h = (h + 1) & mask_;
+      }
+      if (slot_key_[h] == kNullValue) {
+        slot_key_[h] = key;
+        slot_group_[h] = static_cast<uint32_t>(run_begin_.size());
+        run_begin_.push_back(0);
+      }
+      group_of[i] = slot_group_[h];
+      run_begin_[group_of[i]]++;
+    }
+    // Counts -> run starts (exclusive prefix sum), with a trailing end.
+    uint32_t total = 0;
+    for (uint32_t& begin : run_begin_) {
+      const uint32_t count = begin;
+      begin = total;
+      total += count;
+    }
+    run_begin_.push_back(total);
+    rows_.resize(total);
+    std::vector<uint32_t> fill(run_begin_.begin(), run_begin_.end() - 1);
+    for (size_t i = 0; i < n; ++i) {
+      if (group_of[i] != kNoGroup) {
+        rows_[fill[group_of[i]]++] = static_cast<uint32_t>(i);
+      }
+    }
+  }
+
+  struct Run {
+    const uint32_t* first;
+    const uint32_t* last;
+    const uint32_t* begin() const { return first; }
+    const uint32_t* end() const { return last; }
+  };
+
+  /// The ascending build rows whose key is `key`; empty for NULL or no
+  /// match.
+  Run Find(int64_t key) const {
+    if (IsNull(key)) return {nullptr, nullptr};
+    for (size_t h = Slot(key); slot_key_[h] != kNullValue;
+         h = (h + 1) & mask_) {
+      if (slot_key_[h] == key) {
+        const uint32_t g = slot_group_[h];
+        return {rows_.data() + run_begin_[g], rows_.data() + run_begin_[g + 1]};
+      }
+    }
+    return {nullptr, nullptr};
+  }
+
+ private:
+  size_t Slot(int64_t key) const {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  int shift_ = 0;
+  size_t mask_ = 0;
+  std::vector<int64_t> slot_key_;
+  std::vector<uint32_t> slot_group_;
+  std::vector<uint32_t> run_begin_;  // run g is rows_[run_begin_[g], [g+1])
+  std::vector<uint32_t> rows_;
+};
+
+const ChunkedColumn& RefColumn(const Snapshot& snapshot, const Query& query,
+                               const ColumnRef& ref) {
+  return snapshot.column(query.relations()[ref.relation].table_idx,
+                         ref.column);
+}
+
+/// The predicates joining `build` to `probe`, oriented so that .left refers
+/// to the build side.
+StatusOr<std::vector<JoinPredicate>> OrientedJoinPredicates(
+    const Query& query, const Intermediate& build, const Intermediate& probe) {
+  TableSet bset, pset;
+  for (int r : build.rels) bset = bset.With(r);
+  for (int r : probe.rels) pset = pset.With(r);
+  auto preds = query.JoinsBetween(bset, pset);
+  if (preds.empty()) {
+    return Status::InvalidArgument("no join predicate between " +
+                                   bset.ToString() + " and " +
+                                   pset.ToString());
+  }
+  return preds;
+}
+
+/// Hash-joins `build` and `probe` on `oriented` (the first predicate is the
+/// hash key, the rest are checked per pair) and calls emit(bi, pi) for each
+/// matching pair of tuple indices in output order: probe tuples ascending,
+/// and each one's build matches ascending. Stops early when emit returns
+/// true.
+template <typename Emit>
+void ForEachJoinPair(const Snapshot& snapshot, const Query& query,
+                     const Intermediate& build, const Intermediate& probe,
+                     const std::vector<JoinPredicate>& oriented, Emit emit) {
+  const JoinPredicate& key = oriented[0];
+  const ChunkedColumn& build_key = RefColumn(snapshot, query, key.left);
+  const ChunkedColumn& probe_key = RefColumn(snapshot, query, key.right);
+  const std::vector<uint32_t>& build_rows =
+      build.tuples[static_cast<size_t>(build.RelSlot(key.left.relation))];
+  const std::vector<uint32_t>& probe_rows =
+      probe.tuples[static_cast<size_t>(probe.RelSlot(key.right.relation))];
+
+  std::vector<int64_t> keys(build_rows.size());
+  for (size_t i = 0; i < build_rows.size(); ++i) {
+    keys[i] = build_key[build_rows[i]];
+  }
+  const FlatJoinTable table(keys);
+  keys = {};
+
+  // The extra predicates, verified per candidate pair.
+  struct ExtraPred {
+    const uint32_t* build_rows;
+    const uint32_t* probe_rows;
+    const ChunkedColumn* build_col;
+    const ChunkedColumn* probe_col;
+  };
+  std::vector<ExtraPred> extras;
+  for (size_t i = 1; i < oriented.size(); ++i) {
+    const JoinPredicate& p = oriented[i];
+    extras.push_back(
+        {build.tuples[static_cast<size_t>(build.RelSlot(p.left.relation))]
+             .data(),
+         probe.tuples[static_cast<size_t>(probe.RelSlot(p.right.relation))]
+             .data(),
+         &RefColumn(snapshot, query, p.left),
+         &RefColumn(snapshot, query, p.right)});
+  }
+
+  for (size_t pi = 0; pi < probe_rows.size(); ++pi) {
+    for (const uint32_t bi : table.Find(probe_key[probe_rows[pi]])) {
+      bool pass = true;
+      for (const ExtraPred& e : extras) {
+        const int64_t bv = (*e.build_col)[e.build_rows[bi]];
+        const int64_t pv = (*e.probe_col)[e.probe_rows[pi]];
+        if (IsNull(bv) || IsNull(pv) || bv != pv) {
+          pass = false;
+          break;
+        }
+      }
+      if (pass && emit(bi, pi)) return;
+    }
+  }
+}
+
+}  // namespace
+
 StatusOr<Intermediate> Executor::Join(const Query& query,
                                       const Intermediate& left,
                                       const Intermediate& right,
                                       NodeProfile* prof) const {
+  TableSet all;
+  for (int r : left.rels) all = all.With(r);
+  for (int r : right.rels) all = all.With(r);
+  return JoinKeeping(query, left, right, all, prof);
+}
+
+StatusOr<Intermediate> Executor::JoinKeeping(const Query& query,
+                                             const Intermediate& left,
+                                             const Intermediate& right,
+                                             TableSet keep,
+                                             NodeProfile* prof) const {
   obs::SpanTimer span(obs::TraceStage::kExecJoin);
   const bool profiled = options_.profile && prof != nullptr;
   std::chrono::steady_clock::time_point prof_start;
@@ -346,110 +526,102 @@ StatusOr<Intermediate> Executor::Join(const Query& query,
     prof->rows_in_right = right.NumRows();
     prof_start = std::chrono::steady_clock::now();
   }
-  TableSet lset, rset;
-  for (int r : left.rels) lset = lset.With(r);
-  for (int r : right.rels) rset = rset.With(r);
-  auto preds = query.JoinsBetween(lset, rset);
-  if (preds.empty()) {
-    return Status::InvalidArgument("no join predicate between " +
-                                   lset.ToString() + " and " +
-                                   rset.ToString());
-  }
-
   // Build a hash table on the smaller input, keyed by the first predicate.
   const bool build_left = left.NumRows() <= right.NumRows();
   const Intermediate& build = build_left ? left : right;
   const Intermediate& probe = build_left ? right : left;
-  auto finish = [&](Intermediate&& joined) -> Intermediate {
-    if (profiled) {
-      prof->build_rows = build.NumRows();
-      prof->probe_rows = probe.NumRows();
-      prof->rows_out = joined.NumRows();
-      prof->capped = joined.capped;
-      prof->wall_micros = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - prof_start)
-                              .count();
-    }
-    return std::move(joined);
-  };
+  BALSA_ASSIGN_OR_RETURN(std::vector<JoinPredicate> oriented,
+                         OrientedJoinPredicates(query, build, probe));
 
-  // Orient predicates so .left refers to the build side.
-  std::vector<JoinPredicate> oriented;
-  for (auto p : preds) {
-    if (!build_left) std::swap(p.left, p.right);
-    oriented.push_back(p);
-  }
-  const JoinPredicate& key = oriented[0];
-  int build_slot = build.RelSlot(key.left.relation);
-  int probe_slot = probe.RelSlot(key.right.relation);
-
-  std::unordered_map<int64_t, std::vector<uint32_t>> ht;
-  ht.reserve(static_cast<size_t>(build.NumRows()));
-  for (int64_t i = 0; i < build.NumRows(); ++i) {
-    uint32_t row = build.tuples[build_slot][i];
-    int64_t v = ColumnValue(query, key.left.relation, key.left.column, row);
-    if (IsNull(v)) continue;  // NULL keys never match
-    ht[v].push_back(static_cast<uint32_t>(i));
-  }
-
+  // Output columns are the kept rels of (left rels..., right rels...), each
+  // copied from its source column of the build or the probe side.
   Intermediate out;
-  out.rels = left.rels;
-  out.rels.insert(out.rels.end(), right.rels.begin(), right.rels.end());
-  out.tuples.resize(out.rels.size());
   out.capped = left.capped || right.capped;
-
-  // Slots of the extra predicates for verification.
-  struct ExtraPred {
-    int build_slot, probe_slot;
-    ColumnRef build_col, probe_col;
+  struct Copy {
+    const uint32_t* from;
+    size_t slot;  // output column
   };
-  std::vector<ExtraPred> extras;
-  for (size_t i = 1; i < oriented.size(); ++i) {
-    extras.push_back({build.RelSlot(oriented[i].left.relation),
-                      probe.RelSlot(oriented[i].right.relation),
-                      oriented[i].left, oriented[i].right});
-  }
-
-  const size_t n_left = left.rels.size();
-  for (int64_t pi = 0; pi < probe.NumRows(); ++pi) {
-    uint32_t prow = probe.tuples[probe_slot][pi];
-    int64_t v = ColumnValue(query, key.right.relation, key.right.column, prow);
-    if (IsNull(v)) continue;
-    auto it = ht.find(v);
-    if (it == ht.end()) continue;
-    for (uint32_t bi : it->second) {
-      bool pass = true;
-      for (const auto& e : extras) {
-        int64_t bv = ColumnValue(query, e.build_col.relation,
-                                 e.build_col.column,
-                                 build.tuples[e.build_slot][bi]);
-        int64_t pv = ColumnValue(query, e.probe_col.relation,
-                                 e.probe_col.column,
-                                 probe.tuples[e.probe_slot][pi]);
-        if (IsNull(bv) || IsNull(pv) || bv != pv) {
-          pass = false;
-          break;
-        }
-      }
-      if (!pass) continue;
-      // Emit the combined tuple in (left rels..., right rels...) order.
-      const Intermediate& lsrc = build_left ? build : probe;
-      const Intermediate& rsrc = build_left ? probe : build;
-      int64_t li = build_left ? bi : pi;
-      int64_t ri = build_left ? pi : bi;
-      for (size_t s = 0; s < n_left; ++s) {
-        out.tuples[s].push_back(lsrc.tuples[s][li]);
-      }
-      for (size_t s = 0; s < right.rels.size(); ++s) {
-        out.tuples[n_left + s].push_back(rsrc.tuples[s][ri]);
-      }
-      if (out.NumRows() >= options_.row_cap) {
-        out.capped = true;
-        return finish(std::move(out));
-      }
+  std::vector<Copy> build_copies, probe_copies;
+  for (const bool is_left : {true, false}) {
+    const Intermediate& side = is_left ? left : right;
+    for (size_t s = 0; s < side.rels.size(); ++s) {
+      if (!keep.Contains(side.rels[s])) continue;
+      (is_left == build_left ? build_copies : probe_copies)
+          .push_back({side.tuples[s].data(), out.rels.size()});
+      out.rels.push_back(side.rels[s]);
     }
   }
-  return finish(std::move(out));
+  if (out.rels.empty()) {
+    return Status::InvalidArgument("a join must keep one of its relations");
+  }
+  out.tuples.resize(out.rels.size());
+
+  // Matches are staged in small batches of (build, probe) index pairs and
+  // appended one column at a time, so each column is written by one tight
+  // gather loop.
+  constexpr size_t kBatch = 1024;
+  uint32_t batch_build[kBatch];
+  uint32_t batch_probe[kBatch];
+  size_t batched = 0;
+  auto gather = [&](const std::vector<Copy>& copies, const uint32_t* index) {
+    for (const Copy& copy : copies) {
+      std::vector<uint32_t>& column = out.tuples[copy.slot];
+      const size_t base = column.size();
+      column.resize(base + batched);
+      uint32_t* to = column.data() + base;
+      for (size_t k = 0; k < batched; ++k) to[k] = copy.from[index[k]];
+    }
+  };
+  auto flush = [&] {
+    gather(build_copies, batch_build);
+    gather(probe_copies, batch_probe);
+    batched = 0;
+  };
+  int64_t rows = 0;
+  ForEachJoinPair(snapshot_, query, build, probe, oriented,
+                  [&](uint32_t bi, size_t pi) {
+                    batch_build[batched] = bi;
+                    batch_probe[batched] = static_cast<uint32_t>(pi);
+                    if (++batched == kBatch) flush();
+                    if (++rows >= options_.row_cap) {
+                      out.capped = true;
+                      return true;
+                    }
+                    return false;
+                  });
+  flush();
+  if (profiled) {
+    prof->build_rows = build.NumRows();
+    prof->probe_rows = probe.NumRows();
+    prof->rows_out = out.NumRows();
+    prof->capped = out.capped;
+    prof->wall_micros = std::chrono::duration<double, std::micro>(
+                            std::chrono::steady_clock::now() - prof_start)
+                            .count();
+  }
+  return out;
+}
+
+StatusOr<JoinCount> Executor::CountJoin(const Query& query,
+                                        const Intermediate& left,
+                                        const Intermediate& right) const {
+  obs::SpanTimer span(obs::TraceStage::kExecJoin);
+  const bool build_left = left.NumRows() <= right.NumRows();
+  const Intermediate& build = build_left ? left : right;
+  const Intermediate& probe = build_left ? right : left;
+  BALSA_ASSIGN_OR_RETURN(std::vector<JoinPredicate> oriented,
+                         OrientedJoinPredicates(query, build, probe));
+  JoinCount count;
+  count.capped = left.capped || right.capped;
+  ForEachJoinPair(snapshot_, query, build, probe, oriented,
+                  [&](uint32_t, size_t) {
+                    if (++count.rows >= options_.row_cap) {
+                      count.capped = true;
+                      return true;
+                    }
+                    return false;
+                  });
+  return count;
 }
 
 StatusOr<Intermediate> Executor::Execute(const Query& query, const Plan& plan,

@@ -78,10 +78,20 @@ struct ExecutorOptions {
   bool profile = false;
 };
 
+/// The size of a join that was counted rather than materialized.
+struct JoinCount {
+  int64_t rows = 0;     // the NumRows() Join would return
+  bool capped = false;  // the `capped` flag Join would set
+};
+
 /// Evaluates scans and joins of a query against a pinned snapshot. All
 /// physical join operators produce identical results; the executor
-/// implements them with hash joins (the oracle cares about cardinality, not
-/// timing).
+/// implements them with one hash join (the oracle cares about cardinality,
+/// not timing). The join gathers the smaller input's keys, hashes them into
+/// an open-addressing table whose entries own contiguous, ascending runs of
+/// build tuples, and streams the larger input's tuples through it, writing
+/// the matches straight into the output columns (optionally only some of
+/// them, see JoinKeeping).
 class Executor {
  public:
   explicit Executor(Snapshot snapshot, ExecutorOptions options = {})
@@ -104,10 +114,30 @@ class Executor {
 
   /// Equi-joins two intermediates on all join predicates crossing them.
   /// Fails if no predicate connects them (no cross products in SPJ plans).
+  /// Tuples come out in the larger (probe) input's order, and each probe
+  /// tuple's matches in the smaller (build) input's order; the left input
+  /// builds on a tie. Output stops at row_cap tuples, flagged `capped`.
   /// With options.profile on and `prof` non-null, fills `prof`.
   StatusOr<Intermediate> Join(const Query& query, const Intermediate& left,
                               const Intermediate& right,
                               NodeProfile* prof = nullptr) const;
+
+  /// Join, but the output holds only the tuple columns of the relations in
+  /// `keep` (at least one of the inputs' relations must be kept): rows,
+  /// their order and `capped` are Join's. A caller that keeps joining the
+  /// result can drop the columns no later join predicate reads, so fewer
+  /// are copied.
+  StatusOr<Intermediate> JoinKeeping(const Query& query,
+                                     const Intermediate& left,
+                                     const Intermediate& right, TableSet keep,
+                                     NodeProfile* prof = nullptr) const;
+
+  /// The NumRows() and capped flag that Join(query, left, right) returns,
+  /// counted without building any tuple: rows = min(matches, row_cap), and
+  /// capped when an input was capped or matches >= row_cap. Fails exactly
+  /// when Join does.
+  StatusOr<JoinCount> CountJoin(const Query& query, const Intermediate& left,
+                                const Intermediate& right) const;
 
   /// Executes a whole plan subtree, returning the final intermediate.
   StatusOr<Intermediate> Execute(const Query& query, const Plan& plan,

@@ -56,7 +56,6 @@ class Plan {
   const std::vector<PlanNode>& nodes() const { return nodes_; }
 
   bool empty() const { return nodes_.empty(); }
-  TableSet TablesOf(int idx) const { return nodes_[idx].tables; }
   TableSet RootTables() const {
     return root_ < 0 ? TableSet() : nodes_[root_].tables;
   }

@@ -54,10 +54,6 @@ class InferenceService {
   };
   Stats stats() const;
 
-  /// Items per ForwardBatch call. Same bucketing the registry exports.
-  const obs::Log2Histogram& batch_items_histogram() const {
-    return batch_items_;
-  }
   /// Wall µs per ScoreBatch call (all chunks of one request).
   const obs::Log2Histogram& batch_serve_us_histogram() const {
     return batch_serve_us_;

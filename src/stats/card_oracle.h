@@ -4,6 +4,20 @@
 // measurements, so "reality" diverges from the estimator exactly as it does
 // between PostgreSQL's planner and its executor.
 //
+// A table set is measured by joining its relations left-deep in its
+// smallest-first connected order: start from the relation with the fewest
+// filtered rows, then keep adding the smallest relation that joins what is
+// built so far. Every prefix of that order is memoized on the way. A capped
+// prefix ends the measurement: the set is reported capped at that size.
+// One call scans each relation once. The order is prefix-closed (a prefix
+// of a set's order is the whole order of that prefix's own set), so a set
+// resumes from the longest prefix an earlier set of the same call joined,
+// and gets bitwise the rows and capped flag a measurement from scratch
+// gives. A joined prefix is kept only until the last set that extends it,
+// and carries only the tuple columns of its relations that still join a
+// relation outside it. The final join of a set that nothing extends only
+// counts its rows.
+//
 // Every computation pins a storage Snapshot and tags its memoized results
 // with that snapshot's publication epoch. Data mutation (the change stream)
 // advances the epoch on publish, so stale entries expire on their own — no
@@ -57,8 +71,9 @@ class CardOracle {
   StatusOr<TrueCard> Cardinality(const Query& query, TableSet set);
 
   /// True cardinalities for every node of `plan`, indexed by arena
-  /// position, all measured against ONE pinned snapshot. One bottom-up
-  /// execution fills the cache for all subtrees.
+  /// position, all measured against ONE pinned snapshot. Uncached nodes are
+  /// measured in arena order and share the call's scans and joined
+  /// prefixes (see the file comment).
   StatusOr<std::vector<TrueCard>> PlanCardinalities(const Query& query,
                                                     const Plan& plan);
 
@@ -75,6 +90,9 @@ class CardOracle {
     }
     return total;
   }
+  /// Probe work done so far: one per uncached set measured, plus one per
+  /// join run (materialized or counted). Reusing a prefix skips its joins,
+  /// so the count is lower than one full join sequence per set.
   int64_t NumExecutions() const {
     return num_executions_.load(std::memory_order_relaxed);
   }
@@ -129,12 +147,15 @@ class CardOracle {
   /// entry is not replaced by a laggard computation's older-epoch result.
   void Put(uint64_t key, TrueCard card, uint64_t epoch);
 
-  /// Validation + memo lookup + stepwise execution against `executor`'s
-  /// pinned snapshot (whose epoch must be `epoch`).
-  StatusOr<TrueCard> CardinalityWith(const Executor& executor, uint64_t epoch,
-                                     const Query& query, TableSet set);
-  StatusOr<TrueCard> ComputeBySteps(const Executor& executor, uint64_t epoch,
-                                    const Query& query, TableSet set);
+  static Status ValidateSet(const Query& query, TableSet set);
+  /// Fills (*cards)[i] with the cardinality of sets[i], all measured
+  /// against `executor`'s pinned snapshot and memoized at its epoch. Each
+  /// uncached set is joined left-deep in its smallest-first connected order
+  /// (see the file comment), in the order given, reusing this call's scans
+  /// and earlier sets' prefixes.
+  Status Measure(const Executor& executor, const Query& query,
+                 const std::vector<TableSet>& sets,
+                 std::vector<TrueCard>* cards);
 
   const Database* db_;
   ExecutorOptions exec_options_;

@@ -153,14 +153,6 @@ class CondVar {
   /// Callers re-check their predicate in a loop (spurious wakeups).
   void Wait(Mutex& mu) REQUIRES(mu) { cv_.wait(mu); }
 
-  /// Wait with a timeout; returns std::cv_status::timeout on expiry.
-  template <class Rep, class Period>
-  std::cv_status WaitFor(Mutex& mu,
-                         const std::chrono::duration<Rep, Period>& dur)
-      REQUIRES(mu) {
-    return cv_.wait_for(mu, dur);
-  }
-
   /// Wait until a deadline; returns std::cv_status::timeout on expiry.
   template <class Clock, class Duration>
   std::cv_status WaitUntil(

@@ -1,11 +1,17 @@
 #include "src/stats/card_oracle.h"
 
+#include <algorithm>
+#include <map>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/baselines/random_planner.h"
+#include "src/harness/env.h"
 #include "src/stats/oracle_estimator.h"
+#include "src/util/rng.h"
 #include "test_util.h"
 
 namespace balsa {
@@ -178,6 +184,196 @@ TEST_F(CardOracleTest, MutationExpiresMemoizedCardinalitiesOnItsOwn) {
   auto fresh = oracle.Cardinality(query_, sales);
   ASSERT_TRUE(fresh.ok());
   EXPECT_GT(fresh->rows, before->rows);  // never served the stale count
+}
+
+// The oracle's original measurement, kept as the reference the per-call
+// reuse must reproduce: every uncached set is joined from fresh scans in its
+// own smallest-first connected order, every prefix is memoized, and a plan
+// is measured node by node.
+class ReferenceOracle {
+ public:
+  ReferenceOracle(const Database* db, ExecutorOptions options)
+      : db_(db), options_(options) {}
+
+  StatusOr<std::vector<TrueCard>> PlanCardinalities(const Query& query,
+                                                    const Plan& plan) {
+    Executor executor(db_, options_);
+    std::vector<TrueCard> out;
+    for (const PlanNode& node : plan.nodes()) {
+      BALSA_ASSIGN_OR_RETURN(TrueCard card,
+                             Cardinality(executor, query, node.tables));
+      out.push_back(card);
+    }
+    return out;
+  }
+
+  StatusOr<TrueCard> Cardinality(const Query& query, TableSet set) {
+    return Cardinality(Executor(db_, options_), query, set);
+  }
+
+  size_t CacheSize() const { return memo_.size(); }
+  int64_t NumExecutions() const { return executions_; }
+
+ private:
+  using Key = std::pair<int, uint64_t>;
+
+  void Put(const Query& query, TableSet set, TrueCard card) {
+    auto [it, inserted] = memo_.emplace(Key{query.id(), set.bits()}, card);
+    if (!inserted && it->second.capped && !card.capped) it->second = card;
+  }
+
+  StatusOr<TrueCard> Cardinality(const Executor& executor, const Query& query,
+                                 TableSet set) {
+    auto it = memo_.find(Key{query.id(), set.bits()});
+    if (it != memo_.end()) return it->second;
+    return ComputeBySteps(executor, query, set);
+  }
+
+  StatusOr<TrueCard> ComputeBySteps(const Executor& executor,
+                                    const Query& query, TableSet set) {
+    std::vector<std::pair<int64_t, int>> bases;
+    std::vector<Intermediate> scans(query.num_relations());
+    for (int rel : set) {
+      BALSA_ASSIGN_OR_RETURN(scans[rel], executor.Scan(query, rel));
+      bases.push_back({scans[rel].NumRows(), rel});
+      Put(query, TableSet::Single(rel),
+          {static_cast<double>(scans[rel].NumRows()), scans[rel].capped});
+    }
+    std::sort(bases.begin(), bases.end());
+    Intermediate current = std::move(scans[bases[0].second]);
+    TableSet done = TableSet::Single(bases[0].second);
+    executions_++;
+    while (done != set) {
+      int next = -1;
+      for (const auto& [rows, rel] : bases) {
+        if (done.Contains(rel)) continue;
+        if (query.CanJoin(done, TableSet::Single(rel))) {
+          next = rel;
+          break;
+        }
+      }
+      if (next < 0) return Status::InvalidArgument("disconnected");
+      TableSet grown = done.With(next);
+      BALSA_ASSIGN_OR_RETURN(current,
+                             executor.Join(query, current, scans[next]));
+      executions_++;
+      TrueCard card{static_cast<double>(current.NumRows()), current.capped};
+      Put(query, grown, card);
+      done = grown;
+      if (current.capped) return card;
+    }
+    return TrueCard{static_cast<double>(current.NumRows()), current.capped};
+  }
+
+  const Database* db_;
+  ExecutorOptions options_;
+  std::map<Key, TrueCard> memo_;
+  int64_t executions_ = 0;
+};
+
+/// A random connected subset of `query`'s relations.
+TableSet RandomConnectedSet(const Query& query, Rng* rng) {
+  const int n = query.num_relations();
+  TableSet set = TableSet::Single(static_cast<int>(rng->Uniform(n)));
+  const int size = static_cast<int>(rng->UniformInt(1, n));
+  while (set.size() < size) {
+    std::vector<int> grow;
+    for (int rel = 0; rel < n; ++rel) {
+      if (!set.Contains(rel) && query.CanJoin(set, TableSet::Single(rel))) {
+        grow.push_back(rel);
+      }
+    }
+    if (grow.empty()) break;
+    set = set.With(grow[rng->Uniform(grow.size())]);
+  }
+  return set;
+}
+
+/// Drives CardOracle and ReferenceOracle through the same random plans and
+/// single-set lookups, on one warm memo each and on a cold pair per plan,
+/// and requires identical rows, capped flags and memo contents.
+void ExpectMatchesReference(const Database* db,
+                            const std::vector<const Query*>& queries,
+                            const Schema& schema, int64_t row_cap,
+                            int plans_per_query, int* capped_nodes) {
+  ExecutorOptions options;
+  options.row_cap = row_cap;
+  CardOracle warm(db, options);
+  ReferenceOracle warm_ref(db, options);
+  RandomPlanner planner(&schema);
+  Rng rng(row_cap);
+  auto same = [](const std::vector<TrueCard>& a,
+                 const std::vector<TrueCard>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].rows != b[i].rows || a[i].capped != b[i].capped) return false;
+    }
+    return true;
+  };
+  for (const Query* query : queries) {
+    for (int p = 0; p < plans_per_query; ++p) {
+      auto plan = planner.Sample(*query, &rng);
+      ASSERT_TRUE(plan.ok());
+      const std::string what = query->name() + " plan " + std::to_string(p) +
+                               " cap " + std::to_string(row_cap);
+
+      auto want = warm_ref.PlanCardinalities(*query, *plan);
+      auto got = warm.PlanCardinalities(*query, *plan);
+      ASSERT_TRUE(want.ok() && got.ok()) << what;
+      EXPECT_TRUE(same(*got, *want)) << what << " (warm)";
+      EXPECT_EQ(warm.CacheSize(), warm_ref.CacheSize()) << what;
+      for (const TrueCard& card : *want) *capped_nodes += card.capped;
+
+      CardOracle cold(db, options);
+      ReferenceOracle cold_ref(db, options);
+      auto cold_got = cold.PlanCardinalities(*query, *plan);
+      ASSERT_TRUE(cold_got.ok()) << what;
+      EXPECT_TRUE(same(*cold_got, *cold_ref.PlanCardinalities(*query, *plan)))
+          << what << " (cold)";
+      EXPECT_EQ(cold.CacheSize(), cold_ref.CacheSize()) << what;
+      // Reuse never runs more joins than measuring each set from scratch.
+      EXPECT_LE(cold.NumExecutions(), cold_ref.NumExecutions()) << what;
+
+      const TableSet set = RandomConnectedSet(*query, &rng);
+      auto one = warm.Cardinality(*query, set);
+      auto one_ref = warm_ref.Cardinality(*query, set);
+      ASSERT_TRUE(one.ok() && one_ref.ok()) << what;
+      EXPECT_EQ(one->rows, one_ref->rows) << what << " set " << set.ToString();
+      EXPECT_EQ(one->capped, one_ref->capped) << what;
+    }
+  }
+  EXPECT_LE(warm.NumExecutions(), warm_ref.NumExecutions());
+}
+
+TEST_F(CardOracleTest, MatchesReferenceOnRandomStarPlans) {
+  int capped_nodes = 0;
+  ExpectMatchesReference(fixture_.db.get(), {&query_}, fixture_.schema(),
+                         4'000'000, 40, &capped_nodes);
+  EXPECT_EQ(capped_nodes, 0);
+  // Small caps: capped scans, capped joins partway through a set's order,
+  // and sets whose measurement stops early at a capped prefix.
+  for (int64_t cap : {100, 600, 1500}) {
+    ExpectMatchesReference(fixture_.db.get(), {&query_}, fixture_.schema(),
+                           cap, 40, &capped_nodes);
+  }
+  EXPECT_GT(capped_nodes, 0);
+}
+
+TEST(CardOracleJobTest, MatchesReferenceOnRandomJobPlans) {
+  EnvOptions env_options;
+  env_options.data_scale = 0.03;
+  auto env = MakeEnv(WorkloadKind::kJobRandomSplit, env_options);
+  ASSERT_TRUE(env.ok());
+  // Every fifth train query: joins of 2 to 17 relations.
+  std::vector<const Query*> queries;
+  const std::vector<const Query*> train = (*env)->workload.TrainQueries();
+  for (size_t i = 0; i < train.size(); i += 5) queries.push_back(train[i]);
+  int capped_nodes = 0;
+  ExpectMatchesReference((*env)->db.get(), queries, (*env)->schema(),
+                         4'000'000, 3, &capped_nodes);
+  ExpectMatchesReference((*env)->db.get(), queries, (*env)->schema(), 300, 3,
+                         &capped_nodes);
+  EXPECT_GT(capped_nodes, 0);
 }
 
 TEST(OracleEstimatorTest, MatchesOracle) {

@@ -1,11 +1,102 @@
 #include "src/exec/executor.h"
 
+#include <cstring>
+#include <unordered_map>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
 
 namespace balsa {
 namespace {
+
+// The executor's original join: an unordered_map from key to build tuple
+// indices, probed tuple by tuple. Kept as the reference the flat hash join
+// must reproduce tuple for tuple.
+Intermediate ReferenceJoin(const Snapshot& snap, const Query& query,
+                           const Intermediate& left,
+                           const Intermediate& right, int64_t row_cap) {
+  auto value = [&](const ColumnRef& c, uint32_t row) {
+    return snap.column(query.relations()[c.relation].table_idx,
+                       c.column)[row];
+  };
+  TableSet lset, rset;
+  for (int r : left.rels) lset = lset.With(r);
+  for (int r : right.rels) rset = rset.With(r);
+  auto preds = query.JoinsBetween(lset, rset);
+  const bool build_left = left.NumRows() <= right.NumRows();
+  const Intermediate& build = build_left ? left : right;
+  const Intermediate& probe = build_left ? right : left;
+  std::vector<JoinPredicate> oriented;
+  for (auto p : preds) {
+    if (!build_left) std::swap(p.left, p.right);
+    oriented.push_back(p);
+  }
+  const JoinPredicate& key = oriented[0];
+  const int build_slot = build.RelSlot(key.left.relation);
+  const int probe_slot = probe.RelSlot(key.right.relation);
+  std::unordered_map<int64_t, std::vector<uint32_t>> ht;
+  for (int64_t i = 0; i < build.NumRows(); ++i) {
+    int64_t v = value(key.left, build.tuples[build_slot][i]);
+    if (IsNull(v)) continue;
+    ht[v].push_back(static_cast<uint32_t>(i));
+  }
+  Intermediate out;
+  out.rels = left.rels;
+  out.rels.insert(out.rels.end(), right.rels.begin(), right.rels.end());
+  out.tuples.resize(out.rels.size());
+  out.capped = left.capped || right.capped;
+  for (int64_t pi = 0; pi < probe.NumRows(); ++pi) {
+    int64_t v = value(key.right, probe.tuples[probe_slot][pi]);
+    if (IsNull(v)) continue;
+    auto it = ht.find(v);
+    if (it == ht.end()) continue;
+    for (uint32_t bi : it->second) {
+      bool pass = true;
+      for (size_t i = 1; i < oriented.size(); ++i) {
+        const JoinPredicate& e = oriented[i];
+        int64_t bv = value(
+            e.left, build.tuples[build.RelSlot(e.left.relation)][bi]);
+        int64_t pv = value(
+            e.right, probe.tuples[probe.RelSlot(e.right.relation)][pi]);
+        if (IsNull(bv) || IsNull(pv) || bv != pv) {
+          pass = false;
+          break;
+        }
+      }
+      if (!pass) continue;
+      const Intermediate& lsrc = build_left ? build : probe;
+      const Intermediate& rsrc = build_left ? probe : build;
+      int64_t li = build_left ? bi : pi;
+      int64_t ri = build_left ? pi : bi;
+      for (size_t s = 0; s < left.rels.size(); ++s) {
+        out.tuples[s].push_back(lsrc.tuples[s][li]);
+      }
+      for (size_t s = 0; s < right.rels.size(); ++s) {
+        out.tuples[left.rels.size() + s].push_back(rsrc.tuples[s][ri]);
+      }
+      if (out.NumRows() >= row_cap) {
+        out.capped = true;
+        return out;
+      }
+    }
+  }
+  return out;
+}
+
+void ExpectBitwiseEqual(const Intermediate& got, const Intermediate& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.rels, want.rels) << what;
+  EXPECT_EQ(got.capped, want.capped) << what;
+  ASSERT_EQ(got.tuples.size(), want.tuples.size()) << what;
+  for (size_t c = 0; c < want.tuples.size(); ++c) {
+    ASSERT_EQ(got.tuples[c].size(), want.tuples[c].size()) << what;
+    EXPECT_EQ(std::memcmp(got.tuples[c].data(), want.tuples[c].data(),
+                          want.tuples[c].size() * sizeof(uint32_t)),
+              0)
+        << what << " column " << c;
+  }
+}
 
 class ExecutorTest : public ::testing::Test {
  protected:
@@ -244,6 +335,118 @@ TEST_F(ExecutorTest, IndexAssistedScanMatchesFullScanEverywhere) {
   ASSERT_TRUE(a.ok() && c.ok());
   EXPECT_EQ(a->tuples, c->tuples);
   EXPECT_EQ(a->capped, c->capped);
+}
+
+TEST_F(ExecutorTest, FlatHashJoinMatchesReferenceJoinBitwise) {
+  // NULL join keys on both sides of the store and product joins.
+  const int sales = fixture_.schema().TableIndex("sales");
+  const int store_id = fixture_.schema().table(sales).ColumnIndex("store_id");
+  const int product_id =
+      fixture_.schema().table(sales).ColumnIndex("product_id");
+  std::vector<std::pair<int64_t, int64_t>> nulls;
+  for (int64_t row = 0; row < 4000; row += 37) nulls.push_back({row, -1});
+  ASSERT_TRUE(fixture_.db->SetValues(sales, store_id, nulls).ok());
+  ASSERT_TRUE(fixture_.db->SetValues(sales, product_id, nulls).ok());
+  const int customer = fixture_.schema().TableIndex("customer");
+  ASSERT_TRUE(fixture_.db->SetValue(customer, 0, 5, -1).ok());
+
+  // A self-join on the fact table: duplicate keys on both sides, joined on
+  // one predicate (s1-s2 store) or two (s1-s3 store and product), and a
+  // two-relation intermediate ({s1, c}) joined on two predicates.
+  QueryBuilder b(&fixture_.schema(), "selfjoin");
+  auto q = b.From("sales", "s1")
+               .From("sales", "s2")
+               .From("sales", "s3")
+               .From("customer", "c")
+               .JoinEq("s1.store_id", "s2.store_id")
+               .JoinEq("s1.store_id", "s3.store_id")
+               .JoinEq("s1.product_id", "s3.product_id")
+               .JoinEq("s1.customer_id", "c.id")
+               .JoinEq("s2.customer_id", "c.id")
+               .Filter("s1.amount", PredOp::kLt, 30)
+               .Filter("s2.amount", PredOp::kEq, 1)
+               .Filter("c.segment", PredOp::kLt, 3)
+               .Build();
+  ASSERT_TRUE(q.ok());
+  q->set_id(100);
+  Executor executor(fixture_.db.get());
+  auto s1 = executor.Scan(*q, 0);
+  auto s2 = executor.Scan(*q, 1);
+  auto s3 = executor.Scan(*q, 2);
+  auto c = executor.Scan(*q, 3);
+  ASSERT_TRUE(s1.ok() && s2.ok() && s3.ok() && c.ok());
+  auto s1c = executor.Join(*q, *s1, *c);
+  ASSERT_TRUE(s1c.ok());
+  ASSERT_LT(s2->NumRows(), s1->NumRows());
+  ASSERT_LT(s1->NumRows(), s3->NumRows());
+  ASSERT_LT(s2->NumRows(), s1c->NumRows());
+
+  struct Case {
+    const char* name;
+    const Intermediate* left;
+    const Intermediate* right;
+  };
+  const Case cases[] = {
+      {"s1 x s2, build right", &*s1, &*s2},
+      {"s2 x s1, build left", &*s2, &*s1},
+      {"s1 x s3, two predicates", &*s1, &*s3},
+      {"s3 x s1, two predicates", &*s3, &*s1},
+      {"s1c x s2, two predicates", &*s1c, &*s2},
+      {"s2 x s1c, two predicates", &*s2, &*s1c},
+  };
+  const Snapshot snap = executor.snapshot();
+  bool cut_mid_run = false;
+  for (const Case& k : cases) {
+    const Intermediate full =
+        ReferenceJoin(snap, *q, *k.left, *k.right, int64_t{1} << 40);
+    const int64_t total = full.NumRows();
+    ASSERT_GT(total, 1) << k.name;
+    // The probe (larger) input's columns: a cap that lands between two
+    // tuples of the same probe tuple cuts one key's run of build matches.
+    const bool build_left = k.left->NumRows() <= k.right->NumRows();
+    const size_t probe_col = build_left ? k.left->rels.size() : 0;
+    int64_t mid_run = -1;
+    for (int64_t i = 1; i < total && mid_run < 0; ++i) {
+      if (full.tuples[probe_col][i] == full.tuples[probe_col][i - 1]) {
+        mid_run = i;
+      }
+    }
+    std::vector<int64_t> caps = {1, 2, 3, total / 2, total - 1, total,
+                                 total + 1, 4'000'000};
+    if (mid_run > 0) {
+      caps.push_back(mid_run);
+      cut_mid_run = true;
+    }
+    for (int64_t cap : caps) {
+      if (cap < 1) continue;
+      ExecutorOptions options;
+      options.row_cap = cap;
+      Executor capped(fixture_.db.get(), options);
+      const std::string what =
+          std::string(k.name) + " cap " + std::to_string(cap);
+      auto got = capped.Join(*q, *k.left, *k.right);
+      ASSERT_TRUE(got.ok()) << what;
+      ExpectBitwiseEqual(*got, ReferenceJoin(snap, *q, *k.left, *k.right, cap),
+                         what);
+      auto count = capped.CountJoin(*q, *k.left, *k.right);
+      ASSERT_TRUE(count.ok()) << what;
+      EXPECT_EQ(count->rows, got->NumRows()) << what;
+      EXPECT_EQ(count->capped, got->capped) << what;
+      // Dropping the first relation's column leaves the others as they are.
+      TableSet keep;
+      for (int r : got->rels) keep = keep.With(r);
+      auto kept = capped.JoinKeeping(*q, *k.left, *k.right,
+                                     keep.Without(got->rels[0]));
+      ASSERT_TRUE(kept.ok()) << what;
+      Intermediate want = *got;
+      want.rels.erase(want.rels.begin());
+      want.tuples.erase(want.tuples.begin());
+      ExpectBitwiseEqual(*kept, want, what + " keeping");
+    }
+  }
+  EXPECT_TRUE(cut_mid_run);
+  EXPECT_FALSE(executor.CountJoin(*q, *s3, *c).ok());  // no predicate
+  EXPECT_FALSE(executor.JoinKeeping(*q, *s1, *s2, TableSet()).ok());
 }
 
 }  // namespace
